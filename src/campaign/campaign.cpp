@@ -12,6 +12,7 @@
 #include "common/strings.h"
 #include "core/injectors/probabilistic_injector.h"
 #include "core/trigger.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
 
 namespace chaser::campaign {
@@ -213,6 +214,41 @@ std::uint64_t GoldenProfile::execs(Rank r) const {
 
 // ---- TrialEngine -------------------------------------------------------------
 
+namespace {
+
+/// Registry handles for the checkpoint ladder, registered with the first
+/// engine so a scrape shows them (at zero) before any capture.
+struct LadderMetrics {
+  obs::Counter& captures;
+  obs::Counter& restores;
+  obs::Counter& insns_skipped;
+  obs::Gauge& ladder_bytes;
+};
+
+LadderMetrics& GetLadderMetrics() {
+  obs::Registry& reg = obs::Registry::Global();
+  static LadderMetrics m{reg.GetCounter("trial_checkpoint_captures_total"),
+                         reg.GetCounter("trial_checkpoint_restores_total"),
+                         reg.GetCounter("trial_prefix_insns_skipped_total"),
+                         reg.GetGauge("trial_checkpoint_ladder_bytes")};
+  return m;
+}
+
+/// True when every trial of the campaign shares its pre-fire prefix with
+/// every other trial on the same inject rank. Sampled policies fire
+/// PcNthTriggers whose pre-fire state differs per site; hub degradation
+/// draws from a per-trial tape; and without the shared translation cache
+/// every cached TB is owned by its VM and cannot be referenced. (A remote
+/// hub, whose state lives in another process, is ChaserMpi::checkpointable's
+/// call.)
+bool LadderEligible(const CampaignConfig& config) {
+  return config.sample_policy == SamplePolicy::kUniform &&
+         !config.hub_fault.Active() && !config.hub_fault_trigger.has_value() &&
+         config.shared_tb_cache != nullptr;
+}
+
+}  // namespace
+
 TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config,
                          const std::set<Rank>& inject_ranks)
     : spec_(spec),
@@ -252,6 +288,7 @@ TrialEngine::TrialEngine(const apps::AppSpec& spec, const CampaignConfig& config
   // each trial's job start restarts its clock and drop tape, so every trial
   // — on any driver — sees the identical degradation schedule.
   chaser_->hub().SetFaultModel(config_.hub_fault);
+  GetLadderMetrics();
 }
 
 GoldenProfile TrialEngine::RunGolden() {
@@ -325,6 +362,40 @@ void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
   cluster_->SetInstructionBudgets(
       per_rank,
       SaturatingMulU64(per_rank, static_cast<std::uint64_t>(spec_.num_ranks)));
+  ladder_.reset();
+  if (LadderEligible(config_) && chaser_->checkpointable()) {
+    ladder_ = std::make_unique<CheckpointLadder>(golden.instructions);
+  }
+}
+
+void TrialEngine::EnterLadder(Rank rank, std::uint64_t trigger_nth) {
+  LadderMetrics& metrics = GetLadderMetrics();
+  if (const TrialCheckpoint* cp = ladder_->Deepest(rank, trigger_nth)) {
+    cluster_->RestoreCheckpoint(cp->cluster);
+    chaser_->RestoreCheckpoint(cp->chaser);
+    metrics.restores.Inc();
+    metrics.insns_skipped.Inc(cp->cluster.job.instructions);
+  }
+  const core::Chaser& injecting = chaser_->rank_chaser(rank);
+  cluster_->set_round_hook([this, rank, trigger_nth, &injecting, &metrics] {
+    // At or past the nth targeted execution the fault has fired: from here
+    // on this trial's state is its own.
+    if (injecting.targeted_executions() >= trigger_nth) return;
+    const std::optional<std::size_t> rung =
+        ladder_->OpenRung(rank, cluster_->instructions());
+    if (!rung) return;
+    auto cp = std::make_unique<TrialCheckpoint>();
+    if (!cluster_->SaveCheckpoint(&cp->cluster)) {
+      ladder_->Close();  // an owned TB: this engine's jobs are not shareable
+      return;
+    }
+    chaser_->SaveCheckpoint(&cp->chaser);
+    cp->targeted_execs = injecting.targeted_executions();
+    if (ladder_->Add(rank, *rung, std::move(cp))) {
+      metrics.captures.Inc();
+      metrics.ladder_bytes.Set(static_cast<std::int64_t>(ladder_->bytes()));
+    }
+  });
 }
 
 RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
@@ -403,12 +474,15 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
   }
   try {
     cluster_->Start(image_);
+    if (ladder_ != nullptr) EnterLadder(rec.inject_rank, rec.trigger_nth);
     const mpi::JobResult job = [&] {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);
       return cluster_->Run();
     }();
+    cluster_->set_round_hook(nullptr);
     Classify(job, &rec);
   } catch (...) {
+    cluster_->set_round_hook(nullptr);
     if (hub_trigger) chaser_->hub().SetFaultModel(config_.hub_fault);
     if (spool != nullptr) DetachSpool();
     throw;
@@ -571,6 +645,8 @@ Campaign::Campaign(apps::AppSpec spec, CampaignConfig config)
 }
 
 void Campaign::RunGolden() {
+  // Callers may run golden before Run() arms this thread (chaser_run does).
+  const obs::ScopedThreadAttach attach(config_.telemetry, "main");
   if (engine_ == nullptr) {
     engine_ = std::make_unique<TrialEngine>(spec_, config_, inject_ranks_);
   }

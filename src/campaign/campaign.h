@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "campaign/ladder.h"
 #include "campaign/sampling.h"
 #include "common/rng.h"
 #include "core/chaser_mpi.h"
@@ -346,6 +347,9 @@ class TrialEngine {
   void Classify(const mpi::JobResult& job, RunRecord* rec);
   /// Remove the trial spool's sink from every rank's trace log.
   void DetachSpool();
+  /// Right after Start of a ladder trial: restore the deepest checkpoint
+  /// preceding the trigger, then capture open rungs until it fires.
+  void EnterLadder(Rank rank, std::uint64_t trigger_nth);
 
   const apps::AppSpec& spec_;
   const CampaignConfig& config_;
@@ -364,6 +368,9 @@ class TrialEngine {
   /// engine rebuilds it from the same profile deterministically, so worker
   /// engines agree without sharing.
   std::unique_ptr<SamplingPlan> plan_;
+  /// Pre-injection checkpoints of uniform trials (campaign/ladder.h); null
+  /// when this campaign's trials cannot share a prefix.
+  std::unique_ptr<CheckpointLadder> ladder_;
 };
 
 /// Containment boundary shared by the serial and parallel drivers: run one

@@ -49,6 +49,8 @@ ParallelCampaign::ParallelCampaign(apps::AppSpec spec, CampaignConfig config,
 }
 
 void ParallelCampaign::RunGolden() {
+  // Callers may run golden before Run() arms this thread (chaser_run does).
+  const obs::ScopedThreadAttach attach(config_.telemetry, "main");
   TrialEngine engine(spec_, config_, inject_ranks_);
   golden_ = engine.RunGolden();
   golden_done_ = true;

@@ -1,5 +1,7 @@
 #include "core/chaser.h"
 
+#include <stdexcept>
+
 #include "common/log.h"
 #include "common/strings.h"
 #include "obs/profiler.h"
@@ -165,6 +167,22 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
     vm_.set_injector_hook(nullptr);
     vm_.RequestTbFlush();
   }
+}
+
+void Chaser::SaveCheckpoint(Checkpoint* out) const {
+  if (!records_.empty() || !trace_log_.events().empty() ||
+      trace_log_.dropped() != 0 || !site_execs_.empty()) {
+    throw std::logic_error(
+        "Chaser::SaveCheckpoint: the run already injected or traced; "
+        "checkpoints hold fault-free prefixes only");
+  }
+  out->exec_count = exec_count_;
+  out->taint_timeline = taint_timeline_;
+}
+
+void Chaser::RestoreCheckpoint(const Checkpoint& cp) {
+  exec_count_ = cp.exec_count;
+  taint_timeline_ = cp.taint_timeline;
 }
 
 }  // namespace chaser::core

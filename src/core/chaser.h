@@ -108,6 +108,18 @@ class Chaser {
   vm::Vm& vm() { return vm_; }
   Rng& rng() { return *rng_; }
 
+  /// Per-run state of a fault-free prefix: the targeted-execution count and
+  /// the taint timeline. Everything else a run accumulates (injections,
+  /// trace events, site counts) is empty until a fault fires.
+  struct Checkpoint {
+    std::uint64_t exec_count = 0;
+    std::vector<TaintSample> taint_timeline;
+  };
+  /// Throws std::logic_error if an injection or trace event already exists.
+  void SaveCheckpoint(Checkpoint* out) const;
+  /// Overwrite the attached run's state with `cp`.
+  void RestoreCheckpoint(const Checkpoint& cp);
+
  private:
   void OnProcessCreate(const std::string& name);
   void Attach();

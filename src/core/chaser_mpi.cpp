@@ -1,5 +1,7 @@
 #include "core/chaser_mpi.h"
 
+#include <stdexcept>
+
 namespace chaser::core {
 
 ChaserMpi::ChaserMpi(mpi::Cluster& cluster) : ChaserMpi(cluster, Chaser::Options{}) {}
@@ -65,6 +67,27 @@ bool ChaserMpi::FaultPropagatedAcrossNodes() const {
     if (cluster_.node_of(t.id.src) != cluster_.node_of(t.id.dest)) return true;
   }
   return false;
+}
+
+void ChaserMpi::SaveCheckpoint(Checkpoint* out) const {
+  if (!checkpointable()) {
+    throw std::logic_error("ChaserMpi::SaveCheckpoint: remote hub");
+  }
+  out->ranks.resize(chasers_.size());
+  for (std::size_t r = 0; r < chasers_.size(); ++r) {
+    chasers_[r]->SaveCheckpoint(&out->ranks[r]);
+  }
+  out->hub = owned_hub_.SaveCheckpoint();
+}
+
+void ChaserMpi::RestoreCheckpoint(const Checkpoint& cp) {
+  if (!checkpointable()) {
+    throw std::logic_error("ChaserMpi::RestoreCheckpoint: remote hub");
+  }
+  for (std::size_t r = 0; r < chasers_.size(); ++r) {
+    chasers_[r]->RestoreCheckpoint(cp.ranks[r]);
+  }
+  owned_hub_.RestoreCheckpoint(cp.hub);
 }
 
 }  // namespace chaser::core

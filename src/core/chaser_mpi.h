@@ -48,6 +48,18 @@ class ChaserMpi {
   /// True if any tainted message crossed between different *nodes*.
   bool FaultPropagatedAcrossNodes() const;
 
+  /// Every rank's Chaser state plus the in-process hub's (see
+  /// Chaser::Checkpoint, hub::TaintHub::Checkpoint).
+  struct Checkpoint {
+    std::vector<Chaser::Checkpoint> ranks;
+    hub::TaintHub::Checkpoint hub;
+  };
+  /// Only the in-process hub can be checkpointed; a remote hub's state lives
+  /// in another process.
+  bool checkpointable() const { return hub_ == &owned_hub_; }
+  void SaveCheckpoint(Checkpoint* out) const;
+  void RestoreCheckpoint(const Checkpoint& cp);
+
  private:
   mpi::Cluster& cluster_;
   hub::TaintHub owned_hub_;     // used unless an external hub is supplied

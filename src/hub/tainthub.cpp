@@ -1,6 +1,7 @@
 #include "hub/tainthub.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -125,6 +126,21 @@ void TaintHub::Clear() {
   // deterministic degradation, which keeps serial == parallel bit-identity.
   clock_ = 0;
   fault_rng_ = Rng(fault_model_.seed);
+}
+
+TaintHub::Checkpoint TaintHub::SaveCheckpoint() const {
+  if (!records_.empty() || !transfers_.empty() || fault_model_.Active()) {
+    throw std::logic_error(
+        "TaintHub::SaveCheckpoint: taint already crossed the hub, or a "
+        "degradation model is installed");
+  }
+  return {clock_, stats_, next_hub_seq_};
+}
+
+void TaintHub::RestoreCheckpoint(const Checkpoint& cp) {
+  clock_ = cp.clock;
+  stats_ = cp.stats;
+  next_hub_seq_ = cp.next_hub_seq;
 }
 
 }  // namespace chaser::hub

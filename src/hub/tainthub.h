@@ -242,6 +242,18 @@ class TaintHub : public HubService {
 
   void Clear() override;
 
+  /// The hub as a fault-free trial prefix leaves it: receivers have polled
+  /// (clock and stats moved) but nothing was ever published.
+  struct Checkpoint {
+    std::uint64_t clock = 0;
+    HubStats stats;
+    std::uint64_t next_hub_seq = 0;
+  };
+  /// Throws std::logic_error if a record is pending or a transfer happened,
+  /// or a degradation model is installed (its drop tape is not captured).
+  Checkpoint SaveCheckpoint() const;
+  void RestoreCheckpoint(const Checkpoint& cp);
+
  private:
   /// A published record plus the hub clock at which it becomes pollable.
   struct Pending {

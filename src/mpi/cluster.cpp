@@ -90,23 +90,47 @@ void Cluster::Start(std::shared_ptr<const guest::Program> program) {
 
 void Cluster::ResetJobState() {
   if (hooks_ != nullptr) hooks_->OnJobStart();
-  send_seq_.clear();
-  barrier_completed_ = 0;
-  barrier_arrived_count_ = 0;
-  messages_delivered_ = 0;
-  for (auto& state : ranks_) {
-    state->mpi_initialized = false;
-    state->mpi_finalized = false;
-    state->inbox.clear();
-    state->barriers_done = 0;
-    state->barrier_arrived = false;
-    state->allreduce_sent = false;
+  job_ = JobState{};
+  for (auto& state : ranks_) static_cast<RankMpiState&>(*state) = RankMpiState{};
+}
+
+std::uint64_t Cluster::Checkpoint::Bytes() const {
+  std::uint64_t n = sizeof(Checkpoint) +
+                    job.send_seq.size() * (sizeof(std::uint64_t) * 4) +
+                    ranks.size() * sizeof(RankMpiState);
+  for (const vm::Vm::Checkpoint& v : vms) n += v.Bytes();
+  for (const RankMpiState& r : ranks) {
+    for (const Envelope& e : r.inbox) n += sizeof(Envelope) + e.payload.size();
   }
+  return n;
+}
+
+bool Cluster::SaveCheckpoint(Checkpoint* out) const {
+  out->vms.resize(ranks_.size());
+  out->ranks.clear();
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    if (!ranks_[r]->vm->SaveCheckpoint(&out->vms[r])) return false;
+    out->ranks.push_back(*ranks_[r]);  // slices to the RankMpiState base
+  }
+  out->job = job_;
+  return true;
+}
+
+void Cluster::RestoreCheckpoint(const Checkpoint& cp) {
+  if (cp.vms.size() != ranks_.size()) {
+    throw ConfigError("Cluster::RestoreCheckpoint: rank count mismatch");
+  }
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    ranks_[r]->vm->RestoreCheckpoint(cp.vms[r]);
+    static_cast<RankMpiState&>(*ranks_[r]) = cp.ranks[r];
+  }
+  job_ = cp.job;
 }
 
 JobResult Cluster::Run() {
   JobResult result;
-  std::uint64_t total = 0;
+  // Resumes from a restored checkpoint's round total (0 after Start).
+  std::uint64_t& total = job_.instructions;
   while (true) {
     bool any_runnable = false;
     for (Rank r = 0; r < config_.num_ranks; ++r) {
@@ -177,6 +201,7 @@ JobResult Cluster::Run() {
       result.total_instructions = total;
       return result;
     }
+    if (round_hook_) round_hook_();
   }
 }
 
@@ -229,7 +254,7 @@ vm::SyscallResult Cluster::MpiFinalize(Rank r) {
 void Cluster::Deliver(Envelope env) {
   const Rank dest = env.dest;
   rank(dest).inbox.push_back(std::move(env));
-  ++messages_delivered_;
+  ++job_.messages_delivered;
   rank_vm(dest).Unblock();
 }
 
@@ -249,7 +274,7 @@ bool Cluster::SendRaw(Rank src, Rank dest, std::int64_t tag, std::uint64_t count
                   "MPI collective: buffer " + Hex64(buf) + " not mapped");
     return false;
   }
-  env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+  env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
   if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
   Deliver(std::move(env));
   return true;
@@ -285,7 +310,7 @@ vm::SyscallResult Cluster::MpiSend(Rank r) {
                   "MPI_Send: buffer " + Hex64(buf) + " not mapped");
     return vm::SyscallResult::Terminated();
   }
-  env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+  env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
   if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
   Deliver(std::move(env));
   return vm::SyscallResult::Done(0);
@@ -367,7 +392,7 @@ vm::SyscallResult Cluster::MpiBcast(Rank r) {
       env.count = count;
       env.datatype = datatype;
       env.payload = payload;
-      env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+      env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
       if (hooks_ != nullptr) hooks_->OnSend(v, env, buf);
       Deliver(std::move(env));
     }
@@ -473,7 +498,7 @@ vm::SyscallResult Cluster::MpiReduce(Rank r) {
                     "MPI_Reduce: buffer " + Hex64(sendbuf) + " not mapped");
       return vm::SyscallResult::Terminated();
     }
-    env.seq = send_seq_[{env.src, env.dest, env.tag}]++;
+    env.seq = job_.send_seq[{env.src, env.dest, env.tag}]++;
     if (hooks_ != nullptr) hooks_->OnSend(v, env, sendbuf);
     Deliver(std::move(env));
     return vm::SyscallResult::Done(0);
@@ -763,17 +788,17 @@ vm::SyscallResult Cluster::MpiBarrier(Rank r) {
   if (!RequireInitialized(r, "MPI_Barrier")) return vm::SyscallResult::Terminated();
   RankState& state = rank(r);
   const std::uint64_t target = state.barriers_done + 1;
-  if (barrier_completed_ >= target) {
+  if (job_.barrier_completed >= target) {
     state.barriers_done = target;
     state.barrier_arrived = false;
     return vm::SyscallResult::Done(0);
   }
   if (!state.barrier_arrived) {
     state.barrier_arrived = true;
-    ++barrier_arrived_count_;
-    if (barrier_arrived_count_ == config_.num_ranks) {
-      ++barrier_completed_;
-      barrier_arrived_count_ = 0;
+    ++job_.barrier_arrived_count;
+    if (job_.barrier_arrived_count == config_.num_ranks) {
+      ++job_.barrier_completed;
+      job_.barrier_arrived_count = 0;
       for (auto& other : ranks_) {
         other->barrier_arrived = false;
         other->vm->Unblock();

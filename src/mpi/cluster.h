@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/types.h"
@@ -114,14 +116,58 @@ class Cluster {
   JobResult Run();
 
   /// Messages delivered so far (for tests).
-  std::uint64_t messages_delivered() const { return messages_delivered_; }
+  std::uint64_t messages_delivered() const { return job_.messages_delivered; }
+
+  /// Instructions retired by all ranks since Start, counted at Run's round
+  /// granularity (the whole-job watchdog compares against this).
+  std::uint64_t instructions() const { return job_.instructions; }
 
   /// Tune the whole-job instruction watchdog (see Vm::set_max_instructions).
   void SetInstructionBudgets(std::uint64_t per_rank, std::uint64_t total);
 
- private:
-  struct RankState;
+  // ---- Checkpoints (trial-prefix reuse) --------------------------------------
+  /// Per-rank MPI runtime state.
+  struct RankMpiState {
+    bool mpi_initialized = false;
+    bool mpi_finalized = false;
+    std::deque<Envelope> inbox;
+    std::uint64_t barriers_done = 0;
+    bool barrier_arrived = false;
+    // Allreduce progress: the contribution is sent exactly once even though
+    // a blocked syscall re-executes when the rank is unblocked.
+    bool allreduce_sent = false;
+  };
+  /// Job-wide runtime state; Start resets it.
+  struct JobState {
+    std::map<std::tuple<Rank, Rank, std::int64_t>, std::uint64_t> send_seq;
+    std::uint64_t barrier_completed = 0;
+    int barrier_arrived_count = 0;
+    std::uint64_t messages_delivered = 0;
+    std::uint64_t instructions = 0;
+  };
+  /// The whole job at a Run round boundary: every rank's process plus the
+  /// runtime's inboxes, sequence numbers and collective progress.
+  struct Checkpoint {
+    std::vector<vm::Vm::Checkpoint> vms;
+    std::vector<RankMpiState> ranks;
+    JobState job;
 
+    /// Host bytes the checkpoint occupies (for checkpoint budgets).
+    std::uint64_t Bytes() const;
+  };
+  /// Capture the job. Only meaningful at a round boundary (from the round
+  /// hook, or between Start and Run). Returns false when some rank VM cannot
+  /// be checkpointed (see Vm::SaveCheckpoint).
+  bool SaveCheckpoint(Checkpoint* out) const;
+  /// Overwrite a freshly started job with `cp`; the next Run continues from
+  /// the round boundary where `cp` was taken. Hooks are not touched.
+  void RestoreCheckpoint(const Checkpoint& cp);
+
+  /// Invoked by Run at every round boundary while the job goes on (after a
+  /// round in which no rank failed and some rank still runs). Null disables.
+  void set_round_hook(std::function<void()> hook) { round_hook_ = std::move(hook); }
+
+ private:
   /// Shared prologue of both Start overloads: job bookkeeping + rank reset.
   void ResetJobState();
 
@@ -137,17 +183,9 @@ class Cluster {
     Rank rank_;
   };
 
-  struct RankState {
+  struct RankState : RankMpiState {
     std::unique_ptr<vm::Vm> vm;
     std::unique_ptr<RankSyscalls> syscalls;
-    bool mpi_initialized = false;
-    bool mpi_finalized = false;
-    std::deque<Envelope> inbox;
-    std::uint64_t barriers_done = 0;
-    bool barrier_arrived = false;
-    // Allreduce progress: the contribution is sent exactly once even though
-    // a blocked syscall re-executes when the rank is unblocked.
-    bool allreduce_sent = false;
   };
 
   vm::SyscallResult MpiInit(Rank r);
@@ -186,10 +224,8 @@ class Cluster {
   Config config_;
   std::vector<std::unique_ptr<RankState>> ranks_;
   MessageHooks* hooks_ = nullptr;
-  std::map<std::tuple<Rank, Rank, std::int64_t>, std::uint64_t> send_seq_;
-  std::uint64_t barrier_completed_ = 0;
-  int barrier_arrived_count_ = 0;
-  std::uint64_t messages_delivered_ = 0;
+  JobState job_;
+  std::function<void()> round_hook_;
 };
 
 /// Clear the shadow taint of `len` bytes of guest memory starting at `vaddr`

@@ -152,4 +152,26 @@ class Telemetry {
   bool finished_ = false;
 };
 
+/// Arms the calling thread on `telemetry` (may be null) for one scope, unless
+/// the thread is already armed — then the scope changes nothing. Lets a
+/// phase that callers may run on its own (the golden run) be observed
+/// without leaving the thread armed past the scope.
+class ScopedThreadAttach {
+ public:
+  ScopedThreadAttach(Telemetry* telemetry, const std::string& name)
+      : telemetry_(telemetry != nullptr && ThreadProfiler() == nullptr
+                       ? telemetry
+                       : nullptr) {
+    if (telemetry_ != nullptr) telemetry_->AttachThread(name);
+  }
+  ~ScopedThreadAttach() {
+    if (telemetry_ != nullptr) telemetry_->DetachThread();
+  }
+  ScopedThreadAttach(const ScopedThreadAttach&) = delete;
+  ScopedThreadAttach& operator=(const ScopedThreadAttach&) = delete;
+
+ private:
+  Telemetry* telemetry_;
+};
+
 }  // namespace chaser::obs

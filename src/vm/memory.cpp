@@ -1,5 +1,6 @@
 #include "vm/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace chaser::vm {
@@ -12,40 +13,50 @@ void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
   // is pure array stores.
   const std::uint64_t last_leaf = last >> kLeafBits;
   if (last_leaf >= dir_.size()) dir_.resize(last_leaf + 1);
-  std::uint64_t fresh = 0;
   for (std::uint64_t d = first >> kLeafBits; d <= last_leaf; ++d) {
     if (dir_[d] == nullptr) {
       dir_[d] = std::make_unique<Leaf>();
       dir_[d]->frames.fill(kNoFrame);
     }
   }
+  // Demand-zero: only the frame index is assigned here. Storage comes on
+  // first translation (TranslateSlow), so a 1 MiB stack or a large brk costs
+  // one pointer per page until the guest touches it.
   for (std::uint64_t vp = first; vp <= last; ++vp) {
-    fresh += FrameIndex(vp) == kNoFrame ? 1 : 0;
-  }
-  if (fresh > 0) {
-    // One zero-initialised slab for every new page in the region; per-page
-    // heap allocation here used to be a top entry in campaign profiles.
-    auto slab = std::make_unique<std::uint8_t[]>(fresh * kPageSize);
-    std::uint8_t* next = slab.get();
-    slabs_.push_back(std::move(slab));
-    frames_.reserve(frames_.size() + static_cast<std::size_t>(fresh));
-    for (std::uint64_t vp = first; vp <= last; ++vp) {
-      Leaf& leaf = *dir_[vp >> kLeafBits];
-      std::uint32_t& slot = leaf.frames[vp & (kLeafPages - 1)];
-      if (slot != kNoFrame) continue;
-      frames_.push_back(next);
-      next += kPageSize;
-      slot = static_cast<std::uint32_t>(frames_.size() - 1);
-    }
+    std::uint32_t& slot = dir_[vp >> kLeafBits]->frames[vp & (kLeafPages - 1)];
+    if (slot != kNoFrame) continue;
+    slot = static_cast<std::uint32_t>(frames_.size());
+    frames_.emplace_back();
   }
   // No TLB flush: the TLB caches only positive entries, newly-mapped pages
-  // cannot be cached yet, and frames never move (slab storage is stable), so
-  // every cached translation stays valid. The moment unmap/remap exists this
-  // must flush.
+  // cannot be cached yet, and a frame's index (its paddr) never changes once
+  // assigned — backing it later does not move it. The moment unmap/remap
+  // exists this must flush.
+}
+
+void GuestMemory::Clear() {
+  for (auto& frame : frames_) {
+    if (frame != nullptr) spare_.push_back(std::move(frame));
+  }
+  frames_.clear();
+  dir_.clear();
+  backed_ = 0;
+  FlushTlb();
+  tlb_hits_ = 0;
+  tlb_misses_ = 0;
 }
 
 bool GuestMemory::IsMapped(GuestAddr vaddr) const {
   return FrameIndex(vaddr >> kPageBits) != kNoFrame;
+}
+
+std::unique_ptr<std::uint8_t[]> GuestMemory::TakePage() const {
+  if (spare_.empty()) {
+    return std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
+  }
+  std::unique_ptr<std::uint8_t[]> page = std::move(spare_.back());
+  spare_.pop_back();
+  return page;
 }
 
 std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
@@ -56,6 +67,13 @@ std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
   // read as unmapped, exactly like a hash miss did.
   const std::uint32_t frame = FrameIndex(vpage);
   if (frame == kNoFrame) return std::nullopt;
+  if (frames_[frame] == nullptr) {
+    // First touch: back the page with zeros. The TLB is filled only below,
+    // so a TLB hit always names a backed frame.
+    frames_[frame] = TakePage();
+    std::memset(frames_[frame].get(), 0, kPageSize);
+    ++backed_;
+  }
   const PhysAddr frame_base = static_cast<PhysAddr>(frame) * kPageSize;
   if (tlb_enabled_) {
     tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
@@ -63,12 +81,70 @@ std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
   return frame_base + (vaddr & kPageMask);
 }
 
-std::uint8_t* GuestMemory::FramePtr(PhysAddr paddr) {
-  return frames_[paddr >> kPageBits] + (paddr & kPageMask);
+std::uint64_t GuestMemory::Snapshot::Bytes() const {
+  return sizeof(Snapshot) + map.size() * sizeof(MapRun) +
+         page_frame.size() * sizeof(std::uint32_t) + page_bytes.size() +
+         tlb.size() * sizeof(tlb[0]);
 }
 
-const std::uint8_t* GuestMemory::FramePtr(PhysAddr paddr) const {
-  return frames_[paddr >> kPageBits] + (paddr & kPageMask);
+void GuestMemory::Save(Snapshot* out) const {
+  *out = Snapshot{};
+  for (std::uint64_t d = 0; d < dir_.size(); ++d) {
+    if (dir_[d] == nullptr) continue;
+    for (std::uint64_t i = 0; i < kLeafPages; ++i) {
+      const std::uint32_t frame = dir_[d]->frames[i];
+      if (frame == kNoFrame) continue;
+      const std::uint64_t vpage = (d << kLeafBits) | i;
+      Snapshot::MapRun* run = out->map.empty() ? nullptr : &out->map.back();
+      if (run != nullptr && run->vpage + run->pages == vpage &&
+          run->frame + run->pages == frame) {
+        ++run->pages;
+      } else {
+        out->map.push_back({vpage, frame, 1});
+      }
+    }
+  }
+  out->frames = frames_.size();
+  out->page_bytes.reserve(backed_ * kPageSize);
+  for (std::uint64_t f = 0; f < frames_.size(); ++f) {
+    if (frames_[f] == nullptr) continue;
+    out->page_frame.push_back(static_cast<std::uint32_t>(f));
+    out->page_bytes.insert(out->page_bytes.end(), frames_[f].get(),
+                           frames_[f].get() + kPageSize);
+  }
+  for (const TlbEntry& e : tlb_) {
+    if (e.vpage != TlbEntry{}.vpage) out->tlb.emplace_back(e.vpage, e.frame_base);
+  }
+  out->tlb_hits = tlb_hits_;
+  out->tlb_misses = tlb_misses_;
+}
+
+void GuestMemory::Restore(const Snapshot& snap) {
+  Clear();
+  for (const Snapshot::MapRun& run : snap.map) {
+    for (std::uint32_t i = 0; i < run.pages; ++i) {
+      const std::uint64_t vpage = run.vpage + i;
+      const std::uint64_t d = vpage >> kLeafBits;
+      if (d >= dir_.size()) dir_.resize(d + 1);
+      if (dir_[d] == nullptr) {
+        dir_[d] = std::make_unique<Leaf>();
+        dir_[d]->frames.fill(kNoFrame);
+      }
+      dir_[d]->frames[vpage & (kLeafPages - 1)] = run.frame + i;
+    }
+  }
+  frames_.resize(snap.frames);
+  for (std::size_t i = 0; i < snap.page_frame.size(); ++i) {
+    std::unique_ptr<std::uint8_t[]>& frame = frames_[snap.page_frame[i]];
+    frame = TakePage();
+    std::memcpy(frame.get(), snap.page_bytes.data() + i * kPageSize, kPageSize);
+  }
+  backed_ = snap.page_frame.size();
+  for (const auto& [vpage, frame_base] : snap.tlb) {
+    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
+  }
+  tlb_hits_ = snap.tlb_hits;
+  tlb_misses_ = snap.tlb_misses;
 }
 
 std::optional<std::uint64_t> GuestMemory::Load(GuestAddr vaddr,

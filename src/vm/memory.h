@@ -1,17 +1,25 @@
 // Paged guest memory with a soft-MMU (QEMU's softmmu equivalent).
 //
-// Guest virtual pages map to physical frames allocated on demand by the
-// loader / brk. Accesses to unmapped pages produce a page fault that the
+// Guest virtual pages map to physical frames when the loader / brk maps a
+// region. Accesses to unmapped pages produce a page fault that the
 // execution engine turns into the guest-visible SIGSEGV analogue — this is
 // how injected pointer corruptions become "OS exception" terminations.
 // Physical addresses are exposed because the taint shadow and the paper's
 // propagation log are keyed by them.
+//
+// Memory is demand-zero: mapping a region assigns each page its frame index
+// (and therefore its paddr) immediately, but the 4 KiB of storage behind a
+// frame is only allocated when the page is first translated. An unbacked
+// page reads as zero, exactly like a freshly backed one, so backing is
+// invisible to the guest — it only decides which pages cost host memory
+// (and which pages a checkpoint must copy).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -32,14 +40,20 @@ class GuestMemory {
   GuestMemory(GuestMemory&&) = default;
   GuestMemory& operator=(GuestMemory&&) = default;
 
-  /// Map all pages covering [vaddr, vaddr + bytes), zero-filled.
+  /// Map all pages covering [vaddr, vaddr + bytes), zero-filled. Frame
+  /// indices are assigned now, in ascending page order; storage is not.
   /// Already-mapped pages are left untouched.
   void MapRegion(GuestAddr vaddr, std::uint64_t bytes);
 
-  /// True if the byte at `vaddr` is mapped.
+  /// Drop every mapping, as for a fresh process: TLB entries and counters
+  /// reset, and backing pages are kept aside for reuse by later mappings.
+  void Clear();
+
+  /// True if the byte at `vaddr` is mapped (backed or not).
   bool IsMapped(GuestAddr vaddr) const;
 
-  /// Virtual -> physical translation; nullopt on unmapped page.
+  /// Virtual -> physical translation; nullopt on unmapped page. Backs the
+  /// page on first translation, so every returned paddr has storage.
   ///
   /// Hot path: a small direct-mapped software TLB (QEMU's victim-TLB shape,
   /// minus the victim) sits in front of the radix page table. A hit costs
@@ -80,7 +94,9 @@ class GuestMemory {
   /// Bulk copy into guest memory. False if any byte is unmapped.
   bool WriteBytes(GuestAddr vaddr, const void* src, std::uint64_t n);
 
+  /// Pages with a frame index (mapped), and the subset with storage.
   std::uint64_t mapped_pages() const { return frames_.size(); }
+  std::uint64_t backed_pages() const { return backed_; }
 
   /// Enable/disable the flat TLB (ablation + determinism checks). Disabling
   /// also flushes, so re-enabling never sees stale entries.
@@ -96,6 +112,32 @@ class GuestMemory {
   std::uint64_t tlb_hits() const { return tlb_hits_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
 
+  /// Everything Restore needs to reproduce this memory exactly: the page
+  /// table, the contents of the backed pages only, and the live TLB entries
+  /// with the hit/miss counters (which trial records report).
+  struct Snapshot {
+    /// The page table as runs of consecutive vpages mapped to consecutive
+    /// frames (each MapRegion call leaves one run per region).
+    struct MapRun {
+      std::uint64_t vpage = 0;
+      std::uint32_t frame = 0;
+      std::uint32_t pages = 0;
+    };
+    std::vector<MapRun> map;
+    std::uint64_t frames = 0;                // mapped pages (frame count)
+    std::vector<std::uint32_t> page_frame;   // frame index of each backed page
+    std::vector<std::uint8_t> page_bytes;    // kPageSize bytes each
+    std::vector<std::pair<std::uint64_t, PhysAddr>> tlb;  // (vpage, frame base)
+    std::uint64_t tlb_hits = 0;
+    std::uint64_t tlb_misses = 0;
+
+    /// Host bytes the snapshot occupies (for checkpoint budgets).
+    std::uint64_t Bytes() const;
+  };
+  void Save(Snapshot* out) const;
+  /// Replace the whole memory by `snap`. The TLB enable flag is kept.
+  void Restore(const Snapshot& snap);
+
  private:
   struct TlbEntry {
     std::uint64_t vpage = ~0ull;  // ~0 never matches: vaddrs are < 2^52 pages
@@ -109,8 +151,16 @@ class GuestMemory {
   std::optional<PhysAddr> TranslateSlow(GuestAddr vaddr,
                                         std::uint64_t vpage) const;
 
-  std::uint8_t* FramePtr(PhysAddr paddr);
-  const std::uint8_t* FramePtr(PhysAddr paddr) const;
+  /// Storage for one page, recycled from `spare_` when possible; contents
+  /// are unspecified.
+  std::unique_ptr<std::uint8_t[]> TakePage() const;
+
+  std::uint8_t* FramePtr(PhysAddr paddr) {
+    return frames_[paddr >> kPageBits].get() + (paddr & kPageMask);
+  }
+  const std::uint8_t* FramePtr(PhysAddr paddr) const {
+    return frames_[paddr >> kPageBits].get() + (paddr & kPageMask);
+  }
 
   // vpage index -> frame index, as a two-level direct-mapped table (a radix
   // page table, not a hash): leaf arrays of 512 entries allocated on demand,
@@ -134,8 +184,12 @@ class GuestMemory {
   }
 
   std::vector<std::unique_ptr<Leaf>> dir_;
-  std::vector<std::uint8_t*> frames_;
-  std::vector<std::unique_ptr<std::uint8_t[]>> slabs_;
+  // Frame index -> storage, null until the page is first translated.
+  // `mutable` because backing happens inside the const Translate: it is
+  // invisible to every reader (an unbacked page reads as zero).
+  mutable std::vector<std::unique_ptr<std::uint8_t[]>> frames_;
+  mutable std::vector<std::unique_ptr<std::uint8_t[]>> spare_;
+  mutable std::uint64_t backed_ = 0;
 
   // Direct-mapped translation cache. `mutable` because Translate is
   // semantically const; the TLB is pure memoisation.

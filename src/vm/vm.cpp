@@ -1,5 +1,7 @@
 #include "vm/vm.h"
 
+#include <stdexcept>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "common/strings.h"
@@ -149,7 +151,7 @@ Pid Vm::StartLoadedProcess() {
                       ? config_.program_hash
                       : tcg::SharedTbCache::HashProgram(program);
 
-  memory_ = GuestMemory();
+  memory_.Clear();
   memory_.set_tlb_enabled(config_.mem_tlb);
   // The taint shadow-page cache is the other half of the same knob: both
   // memoise page lookups, so the ablation toggles them together.
@@ -196,6 +198,83 @@ Pid Vm::StartLoadedProcess() {
 
   if (on_create_) on_create_(*this, pid_, process_name_);
   return pid_;
+}
+
+std::uint64_t Vm::Checkpoint::Bytes() const {
+  std::uint64_t n = sizeof(Checkpoint) + termination_message.size() +
+                    memory.Bytes() + tbs.size() * sizeof(Tb);
+  for (const auto& [fd, out] : outputs) n += sizeof(fd) + out.size();
+  return n;
+}
+
+bool Vm::SaveCheckpoint(Checkpoint* out) const {
+  if (taint_.Active() || tainted_output_bytes_ != 0 || !stuck_faults_.empty() ||
+      skip_pending_ || tb_flush_pending_) {
+    throw std::logic_error(
+        "Vm::SaveCheckpoint: taint or a pending fault exists; checkpoints "
+        "hold fault-free prefixes only");
+  }
+  out->tbs.clear();
+  out->tbs.reserve(tb_cache_.size());
+  for (const auto& [pc, entry] : tb_cache_) {
+    if (entry.owned != nullptr) return false;
+    Checkpoint::Tb tb{.pc = pc, .tb = entry.tb};
+    for (int k = 0; k < 2; ++k) {
+      if (entry.chain[k] != nullptr) tb.chain[k] = entry.chain[k]->tb->start_pc;
+    }
+    out->tbs.push_back(tb);
+  }
+  out->cpu = cpu_;
+  out->instret = instret_;
+  out->next_sample = next_sample_;
+  out->run_state = run_state_;
+  out->termination = termination_;
+  out->signal = signal_;
+  out->exit_code = exit_code_;
+  out->termination_message = termination_message_;
+  out->heap_break = heap_break_;
+  out->outputs = outputs_;
+  memory_.Save(&out->memory);
+  out->tb_chain_hits = tb_chain_hits_;
+  return true;
+}
+
+void Vm::RestoreCheckpoint(const Checkpoint& cp) {
+  if (program_ == nullptr) {
+    throw ConfigError("RestoreCheckpoint: no process started");
+  }
+  cpu_ = cp.cpu;
+  instret_ = cp.instret;
+  next_sample_ = cp.next_sample;
+  UpdateNextStop();
+  run_state_ = cp.run_state;
+  termination_ = cp.termination;
+  signal_ = cp.signal;
+  exit_code_ = cp.exit_code;
+  termination_message_ = cp.termination_message;
+  heap_break_ = cp.heap_break;
+  outputs_ = cp.outputs;
+  memory_.Restore(cp.memory);
+  tb_chain_hits_ = cp.tb_chain_hits;
+
+  // Rebuild the local TB index, then patch chain edges through the
+  // node-stable map storage (the same invariant Run's chaining relies on).
+  tb_cache_.clear();
+  ++flush_count_;
+  tb_cache_.reserve(cp.tbs.size());
+  for (const Checkpoint::Tb& tb : cp.tbs) {
+    CachedTb entry;
+    entry.tb = tb.tb;
+    tb_cache_.emplace(tb.pc, std::move(entry));
+  }
+  for (const Checkpoint::Tb& tb : cp.tbs) {
+    CachedTb& entry = tb_cache_.at(tb.pc);
+    for (int k = 0; k < 2; ++k) {
+      if (tb.chain[k] != Checkpoint::Tb::kNoChain) {
+        entry.chain[k] = &tb_cache_.at(tb.chain[k]);
+      }
+    }
+  }
 }
 
 RunState Vm::RunToCompletion() {
@@ -360,7 +439,12 @@ SyscallResult Vm::HandleCoreSyscall(std::uint64_t num) {
       const std::uint64_t bytes = cpu_.IntReg(1);
       const GuestAddr old_break = heap_break_;
       if (bytes > 0) {
-        if (bytes > (1ull << 30) || heap_break_ + bytes > guest::kStackTop) {
+        // The heap may grow up to the stack's lowest byte but never into it:
+        // MapRegion skips pages that are already mapped, so an overlapping
+        // break would silently alias heap and stack.
+        constexpr GuestAddr kStackBase =
+            guest::kStackTop - guest::kDefaultStackBytes;
+        if (bytes > (1ull << 30) || heap_break_ + bytes > kStackBase) {
           RaiseSignal(GuestSignal::kSegv, "brk: out of guest memory");
           return SyscallResult::Terminated();
         }

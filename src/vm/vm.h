@@ -343,6 +343,47 @@ class Vm {
   /// True when the binary was built with computed-goto threaded dispatch.
   static bool ThreadedDispatchAvailable();
 
+  // ---- Checkpoints (trial-prefix reuse) --------------------------------------
+  /// The process at a boundary between Run calls, before any taint exists:
+  /// exactly the state a later trial record, report or spool can observe.
+  /// Lifetime counters (tb_executions, translation statistics, pids) are
+  /// deliberately not part of it.
+  struct Checkpoint {
+    /// One local TB-index entry: a shared-cache TB by pointer (stable for
+    /// the cache's lifetime) and its patched chain successors by pc.
+    struct Tb {
+      static constexpr std::uint64_t kNoChain = ~std::uint64_t{0};
+      std::uint64_t pc = 0;
+      const tcg::TranslationBlock* tb = nullptr;
+      std::uint64_t chain[2] = {kNoChain, kNoChain};
+    };
+    CpuState cpu;
+    std::uint64_t instret = 0;
+    std::uint64_t next_sample = 0;
+    RunState run_state = RunState::kRunnable;
+    TerminationKind termination = TerminationKind::kRunning;
+    GuestSignal signal = GuestSignal::kNone;
+    std::int64_t exit_code = 0;
+    std::string termination_message;
+    GuestAddr heap_break = 0;
+    std::map<int, std::string> outputs;
+    GuestMemory::Snapshot memory;
+    std::vector<Tb> tbs;
+    std::uint64_t tb_chain_hits = 0;
+
+    /// Host bytes the checkpoint occupies (for checkpoint budgets).
+    std::uint64_t Bytes() const;
+  };
+  /// Capture the process into `*out`. Returns false, capturing nothing
+  /// useful, when the local TB index holds a TB this VM owns: only
+  /// shared-cache translations can be referenced from a checkpoint. Throws
+  /// std::logic_error if taint, a pending fault or a pending flush exists.
+  bool SaveCheckpoint(Checkpoint* out) const;
+  /// Overwrite the started process with `cp`, which must come from a VM
+  /// running the same image with the same configuration and the same
+  /// instrumentation predicate.
+  void RestoreCheckpoint(const Checkpoint& cp);
+
  private:
   /// One slot of the local pc -> TB index. `tb` points either at `owned` or
   /// at a shared-cache node; `chain` holds the patched direct successors

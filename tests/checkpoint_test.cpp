@@ -1,0 +1,332 @@
+// Tests for trial checkpoints (campaign/ladder.h): a campaign whose trials
+// start from pre-injection checkpoints must produce exactly what running
+// every trial from boot produces. The oracle is a fresh TrialEngine per
+// trial — its ladder is empty, so it always boots — and the comparison
+// covers every record field and every byte of every per-trial spool, on
+// every driver, and on the configurations that must bypass the ladder.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "apps/app.h"
+#include "campaign/campaign.h"
+#include "campaign/fleet.h"
+#include "campaign/journal.h"
+#include "campaign/parallel.h"
+#include "campaign/report.h"
+#include "hub/remote/server.h"
+#include "obs/metrics.h"
+#include "tcg/shared_cache.h"
+
+namespace chaser::campaign {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string TempDir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("chaser_checkpoint_test_" + name + "_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+apps::AppSpec BuildApp(const std::string& app) {
+  if (app == "matvec") return apps::BuildMatvec({});
+  if (app == "clamr") return apps::BuildClamr({});
+  if (app == "lud") return apps::BuildLud({});
+  if (app == "bfs") return apps::BuildBfs({});
+  throw std::invalid_argument(app);
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name).Value();
+}
+
+/// Every RunRecord field, for whole-record equality.
+auto Fields(const RunRecord& r) {
+  return std::tie(r.outcome, r.kind, r.signal, r.inject_rank, r.failure_rank,
+                  r.deadlock, r.propagated_cross_rank, r.propagated_cross_node,
+                  r.injections, r.tainted_reads, r.tainted_writes,
+                  r.peak_tainted_bytes, r.tainted_output_bytes, r.trigger_nth,
+                  r.flip_bits, r.inject_pc, r.inject_class, r.sample_weight,
+                  r.run_seed, r.instructions, r.tb_chain_hits, r.tlb_hits,
+                  r.tlb_misses, r.trace_dropped, r.taint_lost, r.retries,
+                  r.infra_error, r.injector, r.fault_class);
+}
+
+void ExpectSameRecords(const std::vector<RunRecord>& got,
+                       const std::vector<RunRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(Fields(got[i]) == Fields(want[i]))
+        << "record " << i << " (seed " << want[i].run_seed << ") differs";
+  }
+  std::ostringstream a, b;
+  WriteRecordsCsv(got, a);
+  WriteRecordsCsv(want, b);
+  EXPECT_EQ(a.str(), b.str());
+}
+
+/// Relative path -> bytes of every file under `dir`.
+std::map<std::string, std::string> SlurpTree(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    files[fs::relative(e.path(), dir).string()] = ss.str();
+  }
+  return files;
+}
+
+std::set<Rank> InjectRanks(const CampaignConfig& config) {
+  return config.inject_ranks.empty() ? std::set<Rank>{0} : config.inject_ranks;
+}
+
+/// The oracle: every trial on a fresh engine (empty ladder, boots every
+/// time), against a golden profile from yet another engine.
+std::vector<RunRecord> FreshEngineRecords(const apps::AppSpec& spec,
+                                          CampaignConfig config) {
+  std::unique_ptr<tcg::SharedTbCache> cache;
+  if (config.share_tb_cache) {
+    cache = std::make_unique<tcg::SharedTbCache>();
+    config.shared_tb_cache = cache.get();
+  }
+  const std::set<Rank> ranks = InjectRanks(config);
+  TrialEngine golden_engine(spec, config, ranks);
+  const GoldenProfile golden = golden_engine.RunGolden();
+  std::vector<RunRecord> records;
+  for (const std::uint64_t seed :
+       Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    TrialEngine engine(spec, config, ranks);
+    engine.AdoptGolden(golden);
+    records.push_back(engine.RunTrial(seed));
+  }
+  return records;
+}
+
+CampaignConfig BaseConfig(const std::string& app, const apps::AppSpec& spec) {
+  CampaignConfig config;
+  config.runs = app == "clamr" ? 24 : 40;
+  config.seed = 17;
+  // Samples inside the prefix make the restored taint timeline matter.
+  config.chaser_options.taint_sample_interval = 5000;
+  if (app == "clamr") {
+    for (Rank r = 0; r < spec.num_ranks; ++r) config.inject_ranks.insert(r);
+  }
+  return config;
+}
+
+// ---- identity against the boot-every-trial oracle ---------------------------
+
+class CheckpointIdentity
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(CheckpointIdentity, RecordsAndSpoolsMatchFreshEngines) {
+  const auto& [app, trace] = GetParam();
+  const apps::AppSpec spec = BuildApp(app);
+  CampaignConfig config = BaseConfig(app, spec);
+  config.trace = trace;
+  const std::string dir = TempDir(app + (trace ? "_trace" : "_notrace"));
+
+  CampaignConfig oracle_config = config;
+  oracle_config.spool_dir = dir + "/oracle";
+  const std::vector<RunRecord> want = FreshEngineRecords(spec, oracle_config);
+
+  const std::uint64_t restores0 =
+      CounterValue("trial_checkpoint_restores_total");
+  const std::uint64_t skipped0 =
+      CounterValue("trial_prefix_insns_skipped_total");
+  CampaignConfig laddered = config;
+  laddered.spool_dir = dir + "/laddered";
+  Campaign campaign(spec, laddered);
+  const CampaignResult got = campaign.Run();
+
+  EXPECT_GT(CounterValue("trial_checkpoint_restores_total"), restores0)
+      << "the ladder was never used; this test would prove nothing";
+  EXPECT_GT(CounterValue("trial_prefix_insns_skipped_total"), skipped0);
+  ExpectSameRecords(got.records, want);
+  const auto oracle_spools = SlurpTree(dir + "/oracle");
+  EXPECT_EQ(oracle_spools.size() > 0, true);
+  EXPECT_TRUE(SlurpTree(dir + "/laddered") == oracle_spools)
+      << "a per-trial spool differs from the fresh-engine run";
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, CheckpointIdentity,
+    ::testing::Combine(::testing::Values("matvec", "clamr", "lud", "bfs"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_trace" : "_notrace");
+    });
+
+// ---- every driver agrees with the oracle ------------------------------------
+
+std::string RenderOf(const std::vector<RunRecord>& records,
+                     const std::string& label) {
+  CampaignResult result;
+  result.runs = records.size();
+  for (const RunRecord& rec : records) result.Accumulate(rec, true);
+  return result.Render(label);
+}
+
+TEST(CheckpointDrivers, SerialParallelShardedAndResumedMatchTheOracle) {
+  const apps::AppSpec spec = BuildApp("clamr");
+  const CampaignConfig config = BaseConfig("clamr", spec);
+  const std::vector<RunRecord> want = FreshEngineRecords(spec, config);
+  const std::string want_report = RenderOf(want, "clamr");
+
+  {
+    SCOPED_TRACE("serial");
+    Campaign serial(spec, config);
+    const CampaignResult got = serial.Run();
+    ExpectSameRecords(got.records, want);
+    EXPECT_EQ(got.Render("clamr"), want_report);
+  }
+  {
+    SCOPED_TRACE("parallel --jobs 4");
+    ParallelCampaign parallel(spec, config, 4);
+    const CampaignResult got = parallel.Run();
+    ExpectSameRecords(got.records, want);
+    EXPECT_EQ(got.Render("clamr"), want_report);
+  }
+  {
+    SCOPED_TRACE("3 shards");
+    std::vector<RunRecord> shard_records;
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      CampaignConfig shard = config;
+      shard.shard_index = s;
+      shard.shard_count = 3;
+      Campaign worker(spec, shard);
+      const CampaignResult part = worker.Run();
+      shard_records.insert(shard_records.end(), part.records.begin(),
+                           part.records.end());
+    }
+    MergePlan plan;
+    plan.app = "clamr";
+    plan.runs = config.runs;
+    plan.seed = config.seed;
+    const CampaignResult merged = MergeShardRecords(plan, shard_records);
+    ExpectSameRecords(merged.records, want);
+    EXPECT_EQ(merged.Render("clamr"), want_report);
+  }
+  {
+    SCOPED_TRACE("mid-campaign resume");
+    const std::string dir = TempDir("resume");
+    CampaignConfig resumed = config;
+    resumed.journal_path = dir + "/journal.chj";
+    {
+      // A campaign killed after 9 trials left this journal behind.
+      std::vector<RunRecord> none;
+      TrialJournal journal(resumed.journal_path, config.seed, spec.name, &none);
+      for (std::size_t i = 0; i < 9; ++i) journal.Append(want[i]);
+    }
+    Campaign campaign(spec, resumed);
+    const CampaignResult got = campaign.Run();
+    ExpectSameRecords(got.records, want);
+    EXPECT_EQ(got.Render("clamr"), want_report);
+    fs::remove_all(dir);
+  }
+}
+
+// ---- configurations that must bypass the ladder -----------------------------
+
+void ExpectBypass(const std::string& app, CampaignConfig config) {
+  const apps::AppSpec spec = BuildApp(app);
+  const std::vector<RunRecord> want = FreshEngineRecords(spec, config);
+  const std::uint64_t captures0 =
+      CounterValue("trial_checkpoint_captures_total");
+  const std::uint64_t restores0 =
+      CounterValue("trial_checkpoint_restores_total");
+  Campaign campaign(spec, config);
+  const CampaignResult got = campaign.Run();
+  EXPECT_EQ(CounterValue("trial_checkpoint_captures_total"), captures0);
+  EXPECT_EQ(CounterValue("trial_checkpoint_restores_total"), restores0);
+  ExpectSameRecords(got.records, want);
+}
+
+TEST(CheckpointBypass, SampledPolicies) {
+  // Sampled trials fire PcNthTriggers: their pre-fire state is per site.
+  for (const SamplePolicy policy :
+       {SamplePolicy::kWeighted, SamplePolicy::kStratified}) {
+    SCOPED_TRACE(SamplePolicyName(policy));
+    const apps::AppSpec spec = BuildApp("matvec");
+    CampaignConfig config = BaseConfig("matvec", spec);
+    config.sample_policy = policy;
+    ExpectBypass("matvec", config);
+  }
+}
+
+TEST(CheckpointBypass, HubFaultModel) {
+  const apps::AppSpec spec = BuildApp("matvec");
+  CampaignConfig config = BaseConfig("matvec", spec);
+  config.hub_fault.publish_drop_prob = 0.5;
+  config.hub_fault.outage_start = 3;
+  config.hub_fault.outage_end = 9;
+  ExpectBypass("matvec", config);
+}
+
+TEST(CheckpointBypass, HubFaultTrigger) {
+  const apps::AppSpec spec = BuildApp("matvec");
+  CampaignConfig config = BaseConfig("matvec", spec);
+  hub::HubFaultModel model;
+  model.publish_drop_prob = 0.25;
+  config.hub_fault_trigger = model;
+  ExpectBypass("matvec", config);
+}
+
+TEST(CheckpointBypass, RemoteHub) {
+  hub::remote::HubServer server({});
+  server.Start();
+  const apps::AppSpec spec = BuildApp("matvec");
+  CampaignConfig config = BaseConfig("matvec", spec);
+  config.runs = 16;
+  config.hub_endpoints = {"127.0.0.1:" + std::to_string(server.port())};
+  ExpectBypass("matvec", config);
+}
+
+TEST(CheckpointBypass, OwnedTranslations) {
+  // Without the shared translation cache every TB is owned by its VM.
+  const apps::AppSpec spec = BuildApp("matvec");
+  CampaignConfig config = BaseConfig("matvec", spec);
+  config.share_tb_cache = false;
+  ExpectBypass("matvec", config);
+}
+
+// ---- observability -----------------------------------------------------------
+
+TEST(CheckpointMetrics, LadderSeriesAreExported) {
+  const apps::AppSpec spec = BuildApp("clamr");
+  CampaignConfig config = BaseConfig("clamr", spec);
+  config.runs = 12;
+  Campaign campaign(spec, config);
+  campaign.Run();
+  const std::string prom = obs::Registry::Global().ToPrometheus();
+  for (const char* series :
+       {"trial_checkpoint_captures_total", "trial_checkpoint_restores_total",
+        "trial_prefix_insns_skipped_total", "trial_checkpoint_ladder_bytes"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE ") + series), std::string::npos)
+        << series;
+  }
+  const std::int64_t ladder =
+      obs::Registry::Global().GetGauge("trial_checkpoint_ladder_bytes").Value();
+  EXPECT_GT(ladder, 0);
+  EXPECT_LE(ladder, static_cast<std::int64_t>(CheckpointLadder::kBudgetBytes));
+}
+
+}  // namespace
+}  // namespace chaser::campaign

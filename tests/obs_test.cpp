@@ -599,6 +599,45 @@ TEST(TelemetryIdentity, SerialReportIsByteIdenticalWithTelemetryOnOrOff) {
   fs::remove_all(dir);
 }
 
+TEST(TelemetryIdentity, GoldenPhaseIsTimedWhenCallersRunGoldenFirst) {
+  // chaser_run calls RunGolden() before Run(); the golden phase must still
+  // land in the telemetry, on both drivers, without changing any record.
+  CampaignConfig config;
+  config.runs = 8;
+  config.seed = 5;
+  Campaign plain(apps::BuildMatvec({}), config);
+  plain.RunGolden();
+  const std::string csv_off = ResultCsv(plain.Run());
+
+  const auto golden_phase = [] {
+    return &Registry::Global().GetHistogram("phase_golden_ns",
+                                            obs::LatencyBoundsNs());
+  };
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE(jobs);
+    Registry::Global().Reset();
+    Telemetry telemetry({});
+    CampaignConfig observed = config;
+    observed.telemetry = &telemetry;
+    std::string csv_on;
+    if (jobs == 1) {
+      Campaign c(apps::BuildMatvec({}), observed);
+      c.RunGolden();
+      csv_on = ResultCsv(c.Run());
+    } else {
+      ParallelCampaign c(apps::BuildMatvec({}), observed, jobs);
+      c.RunGolden();
+      csv_on = ResultCsv(c.Run());
+    }
+    telemetry.Finish();
+    EXPECT_EQ(csv_off, csv_on);
+    EXPECT_EQ(golden_phase()->Count(), 1u);
+    EXPECT_GT(golden_phase()->Sum(), 0u);
+    EXPECT_EQ(obs::ThreadProfiler(), nullptr)
+        << "the main thread must not stay armed after the campaign";
+  }
+}
+
 TEST(TelemetryIdentity, ParallelMatchesSerialWithTelemetryAttached) {
   const std::string dir = TempDir("identity_parallel");
   CampaignConfig config;

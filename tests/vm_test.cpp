@@ -2,11 +2,16 @@
 // services, signals, the TB cache, and VMI events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
+#include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "common/error.h"
 #include "guest/builder.h"
+#include "tcg/shared_cache.h"
 #include "vm/memory.h"
 #include "vm/vm.h"
 
@@ -106,6 +111,125 @@ TEST(Memory, DistinctPagesDistinctFrames) {
   const PhysAddr p1 = *m.Translate(0x10000);
   const PhysAddr p2 = *m.Translate(0x90000);
   EXPECT_NE(p1 >> kPageBits, p2 >> kPageBits);
+}
+
+// ---- Demand-zero backing --------------------------------------------------------
+
+TEST(DemandZero, PaddrsEqualEagerAssignmentWhateverTheTouchOrder) {
+  // Eager mapping numbered frames in mapping order, ascending page order
+  // within a region, skipping pages already mapped. Demand-zero must keep
+  // exactly that numbering however the pages are later touched.
+  const std::vector<std::pair<GuestAddr, std::uint64_t>> regions = {
+      {0x40000, 3 * kPageSize}, {0x10000, 2 * kPageSize},
+      {0x41000, 4 * kPageSize}};  // overlaps the first region's tail
+  std::map<GuestAddr, PhysAddr> eager;
+  for (const auto& [base, bytes] : regions) {
+    for (GuestAddr va = base; va < base + bytes; va += kPageSize) {
+      eager.try_emplace(va, eager.size() * kPageSize);
+    }
+  }
+  GuestMemory m;
+  for (const auto& [base, bytes] : regions) m.MapRegion(base, bytes);
+  EXPECT_EQ(m.mapped_pages(), eager.size());
+  EXPECT_EQ(m.backed_pages(), 0u);
+  for (auto it = eager.rbegin(); it != eager.rend(); ++it) {  // reverse touch
+    EXPECT_EQ(*m.Translate(it->first + 7), it->second + 7) << it->first;
+  }
+  EXPECT_EQ(m.backed_pages(), eager.size());
+}
+
+TEST(DemandZero, UnbackedPagesAreMappedAndReadZero) {
+  GuestMemory m;
+  m.MapRegion(0x20000, 16 * kPageSize);
+  for (GuestAddr va = 0x20000; va < 0x30000; va += kPageSize) {
+    EXPECT_TRUE(m.IsMapped(va));
+  }
+  EXPECT_EQ(m.backed_pages(), 0u);
+  std::vector<std::uint8_t> buf(2 * kPageSize, 0xaa);
+  ASSERT_TRUE(m.ReadBytes(0x23000, buf.data(), buf.size()));
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(m.backed_pages(), 2u);
+  PhysAddr pa = 0;
+  EXPECT_EQ(m.Load(0x2f008, 8, &pa), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(m.backed_pages(), 3u);
+}
+
+TEST(DemandZero, FaultingCrossPageAccessWritesNothing) {
+  GuestMemory m;
+  m.MapRegion(0, kPageSize);  // page 1 stays unmapped; page 0 unbacked
+  PhysAddr pa = 0;
+  EXPECT_FALSE(m.Store(kPageSize - 4, 8, ~0ull, &pa));
+  EXPECT_FALSE(m.Load(kPageSize - 4, 8, &pa).has_value());
+  EXPECT_EQ(*m.Load(kPageSize - 8, 8, &pa), 0u);
+  const std::uint64_t fill = 0x0102030405060708ull;
+  ASSERT_TRUE(m.WriteBytes(kPageSize - 8, &fill, 8));
+  EXPECT_FALSE(m.WriteBytes(kPageSize - 8, &fill, 16));
+  EXPECT_EQ(*m.Load(kPageSize - 8, 8, &pa), fill);
+}
+
+TEST(DemandZero, TlbOnAndOffAgreeAndBackingLeavesTlbCountsAlone) {
+  const auto walk = [](GuestMemory& m) {
+    std::uint64_t sum = 0;
+    PhysAddr pa = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (GuestAddr va = 0x50000; va < 0x58000; va += 0x340) {
+        m.Store(va, 4, va * 3 + round, &pa);
+        sum += *m.Load(va ^ 0x1000, 8, &pa) + pa;
+      }
+    }
+    return sum;
+  };
+  GuestMemory on;
+  on.MapRegion(0x50000, 0x9000);
+  GuestMemory off;
+  off.set_tlb_enabled(false);
+  off.MapRegion(0x50000, 0x9000);
+  EXPECT_EQ(walk(on), walk(off));
+  EXPECT_EQ(off.tlb_hits() + off.tlb_misses(), 0u);
+
+  // Same walk on memory whose pages were all backed beforehand (with the
+  // TLB off, so the counters stay at zero): backing is invisible to the TLB.
+  GuestMemory prebacked;
+  prebacked.set_tlb_enabled(false);
+  prebacked.MapRegion(0x50000, 0x9000);
+  std::vector<std::uint8_t> scratch(0x9000);
+  ASSERT_TRUE(prebacked.ReadBytes(0x50000, scratch.data(), scratch.size()));
+  prebacked.set_tlb_enabled(true);
+  walk(prebacked);
+  EXPECT_EQ(prebacked.tlb_hits(), on.tlb_hits());
+  EXPECT_EQ(prebacked.tlb_misses(), on.tlb_misses());
+  EXPECT_GT(on.tlb_hits(), 0u);
+}
+
+TEST(DemandZero, SnapshotRestoresMappingContentsAndTlb) {
+  GuestMemory m;
+  m.MapRegion(0x60000, 8 * kPageSize);
+  m.MapRegion(0x10000, kPageSize);
+  PhysAddr pa = 0;
+  m.Store(0x61008, 8, 0x1234, &pa);
+  m.Store(0x10010, 8, 0x5678, &pa);
+  GuestMemory::Snapshot snap;
+  m.Save(&snap);
+  EXPECT_EQ(snap.page_frame.size(), 2u);  // only backed pages are copied
+  EXPECT_LT(snap.Bytes(), 3 * kPageSize);
+
+  GuestMemory r;
+  r.MapRegion(0x900000, kPageSize);  // replaced wholesale
+  r.Store(0x900000, 8, 9, &pa);
+  r.Restore(snap);
+  EXPECT_FALSE(r.IsMapped(0x900000));
+  EXPECT_EQ(r.mapped_pages(), m.mapped_pages());
+  EXPECT_EQ(r.backed_pages(), 2u);
+  EXPECT_EQ(r.tlb_hits(), m.tlb_hits());
+  EXPECT_EQ(r.tlb_misses(), m.tlb_misses());
+  for (const GuestAddr va : {0x61008ull, 0x10010ull, 0x67ff8ull}) {
+    PhysAddr pm = 0, pr = 0;
+    EXPECT_EQ(m.Load(va, 8, &pm), r.Load(va, 8, &pr)) << va;
+    EXPECT_EQ(pm, pr) << va;
+  }
+  EXPECT_EQ(r.tlb_hits(), m.tlb_hits());
+  EXPECT_EQ(r.tlb_misses(), m.tlb_misses());
 }
 
 // ---- Instruction semantics -------------------------------------------------------
@@ -436,6 +560,41 @@ TEST(Os, BrkGrowsHeap) {
   EXPECT_EQ(vm.cpu().IntReg(9), 77u);
 }
 
+TEST(Os, BrkGrowsUpToTheStackButNeverIntoIt) {
+  constexpr GuestAddr kStackBase = guest::kStackTop - guest::kDefaultStackBytes;
+  constexpr std::uint64_t kGiB = 1ull << 30;
+  Vm vm = RunProgram([&](ProgramBuilder& b) {
+    b.MovI(R(1), static_cast<std::int64_t>(kGiB));
+    b.Sys(Sys::kBrk);
+    b.MovI(R(1), static_cast<std::int64_t>(kStackBase - guest::kHeapBase - kGiB));
+    b.Sys(Sys::kBrk);  // the break now sits exactly at the stack base
+    b.MovI(R(2), 77);
+    b.MovI(R(8), static_cast<std::int64_t>(kStackBase - 8));
+    b.St(R(8), 0, R(2));  // last heap word
+    b.MovI(R(8), static_cast<std::int64_t>(kStackBase));
+    b.Ld(R(9), R(8), 0);  // first stack word: untouched by the heap store
+    b.MovI(R(1), 1);
+    b.Sys(Sys::kBrk);  // one more byte would reach into the stack
+  });
+  EXPECT_EQ(vm.cpu().IntReg(9), 0u);
+  EXPECT_EQ(vm.signal(), GuestSignal::kSegv);
+  EXPECT_EQ(vm.termination_message(), "brk: out of guest memory");
+  EXPECT_NE(*vm.memory().Translate(kStackBase - 1) >> kPageBits,
+            *vm.memory().Translate(kStackBase) >> kPageBits);
+}
+
+TEST(Os, MaximalBrkBacksNoPages) {
+  Vm vm = RunProgram([](ProgramBuilder& b) {
+    b.MovI(R(1), static_cast<std::int64_t>(1ull << 30));
+    b.Sys(Sys::kBrk);
+  });
+  ASSERT_EQ(vm.termination(), TerminationKind::kExited);
+  const std::uint64_t heap_pages = (1ull << 30) / kPageSize;
+  EXPECT_GE(vm.memory().mapped_pages(), heap_pages);
+  // Only what the program touched (stack top, nothing of the heap).
+  EXPECT_LT(vm.memory().backed_pages(), 8u);
+}
+
 TEST(Os, InstretSyscallCounts) {
   Vm vm = RunProgram([](ProgramBuilder& b) {
     b.Sys(Sys::kInstret);
@@ -544,6 +703,80 @@ TEST(TbCache, SemanticsUnchangedByFlushEveryQuantum) {
   }
   EXPECT_EQ(plain.cpu().IntReg(8), flushy.cpu().IntReg(8));
   EXPECT_EQ(plain.instret(), flushy.instret());
+}
+
+// ---- Checkpoints ------------------------------------------------------------------
+
+/// A loop that mixes stores, loads, a heap grab and output, so a checkpoint
+/// mid-run has backed pages, TB chains, TLB traffic and captured output.
+guest::Program CheckpointProgram() {
+  ProgramBuilder b("ckpt");
+  const GuestAddr buf = b.Bss("buf", 64 * 1024);
+  b.MovI(R(1), 8192);
+  b.Sys(Sys::kBrk);
+  b.Mov(R(10), R(0));  // heap base
+  b.MovI(R(1), 0);
+  auto loop = b.Here("loop");
+  b.MovI(R(4), static_cast<std::int64_t>(buf));
+  b.Add(R(4), R(4), R(1));
+  b.St(R(4), 0, R(1));
+  b.Ld(R(5), R(4), 0);
+  b.St(R(10), 0, R(5));
+  b.AddI(R(1), R(1), 520);
+  b.CmpI(R(1), 60000);
+  b.Br(Cond::kLt, loop);
+  b.MovI(R(5), 8);
+  b.Write(1, R(10), R(5));
+  b.Exit(0);
+  return b.Finalize();
+}
+
+TEST(Checkpoint, RestoredRunFinishesExactlyLikeTheOriginal) {
+  const guest::Program p = CheckpointProgram();
+  tcg::SharedTbCache cache;
+  Vm::Config config;
+  config.shared_cache = &cache;
+  Vm original(config);
+  original.StartProcess(p);
+  original.Run(300);
+  Vm::Checkpoint cp;
+  ASSERT_TRUE(original.SaveCheckpoint(&cp));
+  EXPECT_GT(cp.memory.page_frame.size(), 0u);
+  EXPECT_GT(cp.tbs.size(), 0u);
+  original.RunToCompletion();
+
+  Vm restored(config);
+  restored.StartProcess(p);
+  restored.RestoreCheckpoint(cp);
+  restored.RunToCompletion();
+  EXPECT_EQ(restored.termination(), TerminationKind::kExited);
+  EXPECT_EQ(restored.output(1), original.output(1));
+  EXPECT_EQ(restored.instret(), original.instret());
+  EXPECT_EQ(restored.tb_chain_hits(), original.tb_chain_hits());
+  EXPECT_EQ(restored.tlb_hits(), original.tlb_hits());
+  EXPECT_EQ(restored.tlb_misses(), original.tlb_misses());
+  EXPECT_EQ(restored.cpu().env, original.cpu().env);
+}
+
+TEST(Checkpoint, OwnedTranslationsCannotBeCheckpointed) {
+  Vm vm;  // no shared cache: every TB is owned by the VM
+  vm.StartProcess(CheckpointProgram());
+  vm.Run(300);
+  Vm::Checkpoint cp;
+  EXPECT_FALSE(vm.SaveCheckpoint(&cp));
+}
+
+TEST(Checkpoint, TaintRefusesCapture) {
+  tcg::SharedTbCache cache;
+  Vm::Config config;
+  config.shared_cache = &cache;
+  Vm vm(config);
+  vm.StartProcess(CheckpointProgram());
+  vm.Run(300);
+  vm.taint().set_enabled(true);
+  vm.taint().TaintSourceRegister(tcg::EnvInt(3), 1);
+  Vm::Checkpoint cp;
+  EXPECT_THROW(vm.SaveCheckpoint(&cp), std::logic_error);
 }
 
 }  // namespace

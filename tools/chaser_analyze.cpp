@@ -577,6 +577,22 @@ std::string RenderTopFrame(const std::vector<std::string>& endpoints) {
         static_cast<unsigned long long>(s.terminated),
         static_cast<unsigned long long>(s.sdc),
         static_cast<unsigned long long>(s.infra));
+    // Where trial checkpoints save work (campaign/ladder.h). A worker that
+    // exports no such series (or is already gone) gets no line.
+    const std::string metrics = TryScrape(ep, "/metrics");
+    double captures = 0.0, restores = 0.0, skipped = 0.0, ladder = 0.0;
+    if (obs::PrometheusValue(metrics, "trial_checkpoint_captures_total",
+                             &captures)) {
+      obs::PrometheusValue(metrics, "trial_checkpoint_restores_total",
+                           &restores);
+      obs::PrometheusValue(metrics, "trial_prefix_insns_skipped_total",
+                           &skipped);
+      obs::PrometheusValue(metrics, "trial_checkpoint_ladder_bytes", &ladder);
+      out += StrFormat(
+          "%-22s ckpt     %.0f captures, %.0f restores, %.1fM prefix insns "
+          "skipped, %.0f KiB ladder\n",
+          "", captures, restores, skipped / 1e6, ladder / 1024.0);
+    }
   }
   if (workers.size() > 1) {
     const campaign::FleetRollup r = campaign::RollUpShards(workers);

@@ -6,14 +6,17 @@
 # resumed run's CSV + report must be byte-identical to an uninterrupted
 # reference run of the same campaign.
 #
-# usage: tools/kill_resume_smoke.sh [path/to/chaser_run] [jobs]
+# usage: tools/kill_resume_smoke.sh [path/to/chaser_run] [jobs] [app]
+#
+# app defaults to matvec; clamr exercises the trial-checkpoint ladder, whose
+# resumed process starts with an empty ladder and must still match.
 #
 # Exits 0 on success, 1 on any divergence. Safe to run repeatedly.
 set -u
 
 BIN="${1:-build/tools/chaser_run}"
 JOBS="${2:-4}"
-APP=matvec
+APP="${3:-matvec}"
 RUNS=60
 SEED=20260806
 
@@ -33,7 +36,7 @@ run() {  # run <csv> <report> [extra flags...]
          --out "$csv" "$@" >"$report" 2>&1
 }
 
-echo "== reference: uninterrupted campaign ($RUNS trials, --jobs $JOBS)"
+echo "== reference: uninterrupted $APP campaign ($RUNS trials, --jobs $JOBS)"
 run "$WORK/ref.csv" "$WORK/ref.report" || {
   echo "kill_resume_smoke: FAIL (reference run crashed)"; exit 1; }
 
