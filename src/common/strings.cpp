@@ -59,7 +59,9 @@ std::string Hex64(std::uint64_t v) {
 }
 
 bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
+  // strtoull skips leading whitespace and negates a leading '-'; only a
+  // leading digit is an unsigned number.
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 0);

@@ -21,7 +21,7 @@ std::vector<std::string> Split(const std::string& s, char delim);
 std::string Hex64(std::uint64_t v);
 
 /// Parse an unsigned integer (decimal, or 0x-prefixed hex).
-/// Returns false on malformed input.
+/// Returns false on malformed input, including a sign or leading whitespace.
 bool ParseU64(const std::string& s, std::uint64_t* out);
 
 /// Parse a double. Returns false on malformed input.

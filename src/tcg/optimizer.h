@@ -18,7 +18,7 @@
 //     one more op becomes an insn_boundary flag on that op, so the
 //     interpreter pays one well-predicted branch instead of a dispatched op
 //     per retired instruction. Instruction accounting (instret, budget,
-//     watchdog, hooks) is unchanged: the dispatch glue runs the same
+//     watchdog, hooks) is unchanged: the interpreter runs the same
 //     bookkeeping before a flagged op that the kInsnStart handler runs.
 //
 // All transformations preserve taint semantics exactly: a forwarded op
@@ -42,6 +42,15 @@ struct OptimizerStats {
   std::uint64_t imms_fused = 0;   // kMovI folded into a consumer's src2
   std::uint64_t addrs_fused = 0;  // kAdd folded into a load/store address
   std::uint64_t insn_starts_folded = 0;  // kInsnStart -> insn_boundary flag
+
+  OptimizerStats& operator+=(const OptimizerStats& o) {
+    movs_forwarded += o.movs_forwarded;
+    dead_ops_removed += o.dead_ops_removed;
+    imms_fused += o.imms_fused;
+    addrs_fused += o.addrs_fused;
+    insn_starts_folded += o.insn_starts_folded;
+    return *this;
+  }
 };
 
 /// Optimize `tb` in place. Returns what was done.

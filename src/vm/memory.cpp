@@ -61,7 +61,7 @@ std::unique_ptr<std::uint8_t[]> GuestMemory::TakePage() const {
 
 std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
                                                    std::uint64_t vpage) const {
-  if (tlb_enabled_) ++tlb_misses_;
+  ++tlb_misses_;
   // Wild vpages (injected pointer corruption makes arbitrary 64-bit
   // addresses) fall out of the directory bounds check inside FrameIndex and
   // read as unmapped, exactly like a hash miss did.
@@ -75,9 +75,7 @@ std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
     ++backed_;
   }
   const PhysAddr frame_base = static_cast<PhysAddr>(frame) * kPageSize;
-  if (tlb_enabled_) {
-    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
-  }
+  tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
   return frame_base + (vaddr & kPageMask);
 }
 

@@ -58,15 +58,13 @@ class GuestMemory {
   /// Hot path: a small direct-mapped software TLB (QEMU's victim-TLB shape,
   /// minus the victim) sits in front of the radix page table. A hit costs
   /// one compare; misses fill the slot. The TLB caches only positive
-  /// entries, so fault behaviour is identical with it on or off.
+  /// entries, so fault behaviour is identical to a page-table walk.
   std::optional<PhysAddr> Translate(GuestAddr vaddr) const {
     const std::uint64_t vpage = vaddr >> kPageBits;
-    if (tlb_enabled_) {
-      const TlbEntry& e = tlb_[vpage & (kTlbEntries - 1)];
-      if (e.vpage == vpage) {
-        ++tlb_hits_;
-        return e.frame_base + (vaddr & kPageMask);
-      }
+    const TlbEntry& e = tlb_[vpage & (kTlbEntries - 1)];
+    if (e.vpage == vpage) {
+      ++tlb_hits_;
+      return e.frame_base + (vaddr & kPageMask);
     }
     return TranslateSlow(vaddr, vpage);
   }
@@ -97,14 +95,6 @@ class GuestMemory {
   /// Pages with a frame index (mapped), and the subset with storage.
   std::uint64_t mapped_pages() const { return frames_.size(); }
   std::uint64_t backed_pages() const { return backed_; }
-
-  /// Enable/disable the flat TLB (ablation + determinism checks). Disabling
-  /// also flushes, so re-enabling never sees stale entries.
-  void set_tlb_enabled(bool enabled) {
-    tlb_enabled_ = enabled;
-    FlushTlb();
-  }
-  bool tlb_enabled() const { return tlb_enabled_; }
 
   /// Drop every cached translation (called on any mapping change).
   void FlushTlb() { tlb_.fill(TlbEntry{}); }
@@ -194,7 +184,6 @@ class GuestMemory {
   // Direct-mapped translation cache. `mutable` because Translate is
   // semantically const; the TLB is pure memoisation.
   mutable std::array<TlbEntry, kTlbEntries> tlb_{};
-  bool tlb_enabled_ = true;
   mutable std::uint64_t tlb_hits_ = 0;
   mutable std::uint64_t tlb_misses_ = 0;
 };

@@ -152,10 +152,6 @@ Pid Vm::StartLoadedProcess() {
                       : tcg::SharedTbCache::HashProgram(program);
 
   memory_.Clear();
-  memory_.set_tlb_enabled(config_.mem_tlb);
-  // The taint shadow-page cache is the other half of the same knob: both
-  // memoise page lookups, so the ablation toggles them together.
-  taint_.set_page_cache_enabled(config_.mem_tlb);
   if (!program.data.empty()) {
     memory_.MapRegion(guest::kDataBase, program.data.size());
     memory_.WriteBytes(guest::kDataBase, program.data.data(), program.data.size());

@@ -41,15 +41,6 @@ class SharedTbCache;
 
 namespace chaser::vm {
 
-/// How ExecuteTb dispatches TCG ops.
-///  * kAuto: threaded if compiled in (CHASER_THREADED_DISPATCH + a compiler
-///    with computed goto), else the portable switch.
-///  * kSwitch / kThreaded force one engine (ablation benches, identity
-///    tests). kThreaded silently falls back to switch when unavailable —
-///    both engines are bit-identical by construction, so forcing is only
-///    about *measuring*, never about semantics.
-enum class Dispatch : std::uint8_t { kAuto, kSwitch, kThreaded };
-
 /// Guest-visible signals (the "OS exception" termination causes of Table III).
 enum class GuestSignal : std::uint8_t {
   kNone = 0,
@@ -120,13 +111,6 @@ class Vm {
     std::uint32_t max_tb_insns = 64;
     /// Run the TCG optimizer over each freshly translated TB.
     bool optimize_tbs = true;
-    /// TCG-op dispatch engine (see Dispatch).
-    Dispatch dispatch = Dispatch::kAuto;
-    /// Patch direct TB successor pointers (QEMU's goto_tb chaining) so
-    /// straight-line and loop execution skips the TB-cache hash lookup.
-    bool chain_tbs = true;
-    /// Flat software TLB in front of GuestMemory::Translate.
-    bool mem_tlb = true;
     /// Cap on locally indexed TBs; exceeding it triggers a full flush
     /// (QEMU semantics) counted in tb_evictions(). 0 = unlimited.
     std::uint64_t max_cached_tbs = 0;
@@ -328,7 +312,7 @@ class Vm {
   /// optimizer_stats, shared-cache reuse, evictions) and the epoch history.
   void ResetTranslationStats();
 
-  // ---- Hot-path counters (this PR's perf work) -------------------------------
+  // ---- Hot-path counters ------------------------------------------------------
   /// TB-to-TB transfers that followed a patched chain pointer instead of
   /// hashing into the TB cache (QEMU's tb_add_jump hit rate).
   std::uint64_t tb_chain_hits() const { return tb_chain_hits_; }
@@ -339,9 +323,6 @@ class Vm {
   std::uint64_t shared_tb_reuses() const { return shared_reuses_; }
   /// TBs dropped by cap-overflow flushes of the local index.
   std::uint64_t tb_evictions() const { return tb_evictions_; }
-
-  /// True when the binary was built with computed-goto threaded dispatch.
-  static bool ThreadedDispatchAvailable();
 
   // ---- Checkpoints (trial-prefix reuse) --------------------------------------
   /// The process at a boundary between Run calls, before any taint exists:
@@ -397,18 +378,16 @@ class Vm {
   };
 
   CachedTb& LookupTb(std::uint64_t pc);
+  /// Translate (and optimize) the TB at `pc`, counting it in the lifetime
+  /// and current-epoch translation statistics.
+  tcg::TranslationBlock TranslateFresh(std::uint64_t pc);
   /// Execute `tb`; `*exit_slot` receives the chain slot of the exit taken
   /// (0/1 for static successors, -1 for dynamic/none — see CachedTb::chain).
-  void ExecuteTb(const tcg::TranslationBlock& tb, std::uint64_t* budget,
-                 int* exit_slot);
-  // __restrict: budget/exit_slot never alias VM state, which lets the
-  // compiler keep them in registers across the per-op member stores.
-  void ExecuteTbSwitch(const tcg::TranslationBlock& tb,
-                       std::uint64_t* __restrict budget,
-                       int* __restrict exit_slot);
-  void ExecuteTbThreaded(const tcg::TranslationBlock& tb,
-                         std::uint64_t* __restrict budget,
-                         int* __restrict exit_slot);
+  /// __restrict: budget/exit_slot never alias VM state, which lets the
+  /// compiler keep them in registers across the per-op member stores.
+  void ExecuteTb(const tcg::TranslationBlock& tb,
+                 std::uint64_t* __restrict budget,
+                 int* __restrict exit_slot);
   /// Shared-cache key of the current translation configuration, or 0 when
   /// translations are not shareable (no cache / opaque predicate).
   std::uint64_t SharedVariantKey() const;

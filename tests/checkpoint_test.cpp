@@ -99,11 +99,9 @@ std::set<Rank> InjectRanks(const CampaignConfig& config) {
 /// time), against a golden profile from yet another engine.
 std::vector<RunRecord> FreshEngineRecords(const apps::AppSpec& spec,
                                           CampaignConfig config) {
-  std::unique_ptr<tcg::SharedTbCache> cache;
-  if (config.share_tb_cache) {
-    cache = std::make_unique<tcg::SharedTbCache>();
-    config.shared_tb_cache = cache.get();
-  }
+  // Share translations the way Campaign does.
+  tcg::SharedTbCache cache;
+  if (config.shared_tb_cache == nullptr) config.shared_tb_cache = &cache;
   const std::set<Rank> ranks = InjectRanks(config);
   TrialEngine golden_engine(spec, config, ranks);
   const GoldenProfile golden = golden_engine.RunGolden();
@@ -300,11 +298,29 @@ TEST(CheckpointBypass, RemoteHub) {
 }
 
 TEST(CheckpointBypass, OwnedTranslations) {
-  // Without the shared translation cache every TB is owned by its VM.
+  // An engine built without a shared translation cache owns every TB, which
+  // a checkpoint cannot reference: one engine serving the whole campaign
+  // must boot every trial and still match the oracle.
   const apps::AppSpec spec = BuildApp("matvec");
-  CampaignConfig config = BaseConfig("matvec", spec);
-  config.share_tb_cache = false;
-  ExpectBypass("matvec", config);
+  const CampaignConfig config = BaseConfig("matvec", spec);
+  ASSERT_EQ(config.shared_tb_cache, nullptr);
+  const std::vector<RunRecord> want = FreshEngineRecords(spec, config);
+  const std::uint64_t captures0 =
+      CounterValue("trial_checkpoint_captures_total");
+  const std::uint64_t restores0 =
+      CounterValue("trial_checkpoint_restores_total");
+  const std::set<Rank> ranks = InjectRanks(config);
+  TrialEngine engine(spec, config, ranks);
+  const GoldenProfile golden = engine.RunGolden();
+  engine.AdoptGolden(golden);
+  std::vector<RunRecord> got;
+  for (const std::uint64_t seed :
+       Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    got.push_back(engine.RunTrial(seed));
+  }
+  EXPECT_EQ(CounterValue("trial_checkpoint_captures_total"), captures0);
+  EXPECT_EQ(CounterValue("trial_checkpoint_restores_total"), restores0);
+  ExpectSameRecords(got, want);
 }
 
 // ---- observability -----------------------------------------------------------

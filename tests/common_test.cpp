@@ -63,6 +63,9 @@ TEST(Strings, ParseU64Rejects) {
   EXPECT_FALSE(ParseU64("", &v));
   EXPECT_FALSE(ParseU64("12x", &v));
   EXPECT_FALSE(ParseU64("abc", &v));
+  EXPECT_FALSE(ParseU64("-1", &v));
+  EXPECT_FALSE(ParseU64(" 2", &v));
+  EXPECT_FALSE(ParseU64("+3", &v));
 }
 
 TEST(Strings, ParseDouble) {

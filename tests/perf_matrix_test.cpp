@@ -1,8 +1,7 @@
 // Perf-subsystem tests (label "perf"): the shared cross-trial translation
 // cache, the flat software TLB, per-epoch translation stats, the TB cap, and
-// the full identity matrix — campaigns must produce byte-identical reports
-// and records across {serial, parallel} x {shared cache on, off} x
-// {switch, threaded} because every hot-path knob is bit-transparent.
+// the identity matrix — campaigns must produce byte-identical reports and
+// records across {serial, parallel} x {driver-owned, external cache}.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -217,21 +216,24 @@ TEST(MemoryTlb, AliasedSlotsEvictEachOtherCorrectly) {
 }
 
 TEST(MemoryTlb, DisabledMatchesEnabledResults) {
-  auto probe = [](bool enabled) -> std::uint64_t {
+  // "Disabled" = FlushTlb() before every access, so each access walks the
+  // page table: the reference the TLB must agree with.
+  auto probe = [](bool walk_tables) -> std::uint64_t {
     vm::GuestMemory mem;
-    mem.set_tlb_enabled(enabled);
     mem.MapRegion(0x2000, 4 * vm::kPageSize);
     std::uint64_t sum = 0;
     for (int i = 0; i < 64; ++i) {
       PhysAddr paddr = 0;
+      if (walk_tables) mem.FlushTlb();
       if (!mem.Store(0x2000 + i * 8, 8, i * 31, &paddr)) return ~0ull;
+      if (walk_tables) mem.FlushTlb();
       const auto loaded = mem.Load(0x2000 + i * 8, 8, &paddr);
       if (!loaded) return ~0ull;
       sum += *loaded;
     }
     return sum;
   };
-  EXPECT_EQ(probe(true), probe(false));
+  EXPECT_EQ(probe(false), probe(true));
 }
 
 // ---- Per-epoch translation stats (satellite: breakdown + reset) -----------
@@ -338,45 +340,41 @@ std::string Fingerprint(const CampaignResult& result) {
   return result.Render("matrix") + "\n" + csv.str();
 }
 
-CampaignConfig MatrixConfig(bool shared, vm::Dispatch dispatch) {
+CampaignConfig MatrixConfig() {
   CampaignConfig config;
   config.runs = 12;
   config.seed = 99;
-  config.share_tb_cache = shared;
-  config.dispatch = dispatch;
   config.retry_backoff_ms = 0;
   return config;
 }
 
-// Every cell of {serial, parallel} x {shared cache on, off} x
-// {switch, threaded} must be byte-identical: the hot-path knobs are
-// transparent and the parallel driver replays the serial seed sequence.
-// (Without threaded dispatch compiled in, kThreaded falls back to switch and
-// the matrix degenerates — still a valid identity check.)
+// Every cell of {serial, parallel x3} x {driver-owned cache, external cache}
+// must be byte-identical: where translations live is transparent and the
+// parallel driver replays the serial seed sequence.
 TEST(IdentityMatrix, AllCellsByteIdentical) {
   const apps::AppSpec spec = AccumulatorApp();
 
-  Campaign baseline(spec, MatrixConfig(true, vm::Dispatch::kAuto));
+  Campaign baseline(spec, MatrixConfig());
   const std::string want = Fingerprint(baseline.Run());
   EXPECT_NE(want.find("matrix"), std::string::npos);
 
   for (const bool parallel : {false, true}) {
-    for (const bool shared : {false, true}) {
-      for (const vm::Dispatch dispatch :
-           {vm::Dispatch::kSwitch, vm::Dispatch::kThreaded}) {
-        const CampaignConfig config = MatrixConfig(shared, dispatch);
-        CampaignResult result;
-        if (parallel) {
-          ParallelCampaign c(spec, config, /*jobs=*/3);
-          result = c.Run();
-        } else {
-          Campaign c(spec, config);
-          result = c.Run();
-        }
-        EXPECT_EQ(Fingerprint(result), want)
-            << "parallel=" << parallel << " shared=" << shared
-            << " dispatch=" << static_cast<int>(dispatch);
+    for (const bool external : {false, true}) {
+      SharedTbCache cache;
+      CampaignConfig config = MatrixConfig();
+      if (external) config.shared_tb_cache = &cache;
+      CampaignResult result;
+      if (parallel) {
+        ParallelCampaign c(spec, config, /*jobs=*/3);
+        EXPECT_EQ(c.shared_tb_cache() == &cache, external);
+        result = c.Run();
+      } else {
+        Campaign c(spec, config);
+        EXPECT_EQ(c.shared_tb_cache() == &cache, external);
+        result = c.Run();
       }
+      EXPECT_EQ(Fingerprint(result), want)
+          << "parallel=" << parallel << " external=" << external;
     }
   }
 }
@@ -386,7 +384,7 @@ TEST(IdentityMatrix, AllCellsByteIdentical) {
 TEST(IdentityMatrix, SharedCacheIsActuallyReused) {
   const apps::AppSpec spec = AccumulatorApp();
   SharedTbCache cache;
-  CampaignConfig config = MatrixConfig(true, vm::Dispatch::kAuto);
+  CampaignConfig config = MatrixConfig();
   config.shared_tb_cache = &cache;
   Campaign c(spec, config);
   c.Run();
