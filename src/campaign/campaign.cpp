@@ -235,15 +235,15 @@ LadderMetrics& GetLadderMetrics() {
 }
 
 /// True when every trial of the campaign shares its pre-fire prefix with
-/// every other trial on the same inject rank. Sampled policies fire
-/// PcNthTriggers whose pre-fire state differs per site; hub degradation
-/// draws from a per-trial tape; and an engine built without a shared
-/// translation cache owns every cached TB, which cannot be referenced. (A
-/// remote hub, whose state lives in another process, is
-/// ChaserMpi::checkpointable's call.)
+/// every other trial on the same inject rank. That holds for every sample
+/// policy: a sampled trial's site-local trigger fires from per-pc counts
+/// that a checkpoint carries. It fails when hub degradation draws from a
+/// per-trial tape, and when an engine built without a shared translation
+/// cache owns every cached TB, which cannot be referenced. (A remote hub,
+/// whose state lives in another process, is ChaserMpi::checkpointable's
+/// call.)
 bool LadderEligible(const CampaignConfig& config) {
-  return config.sample_policy == SamplePolicy::kUniform &&
-         !config.hub_fault.Active() && !config.hub_fault_trigger.has_value() &&
+  return !config.hub_fault.Active() && !config.hub_fault_trigger.has_value() &&
          config.shared_tb_cache != nullptr;
 }
 
@@ -329,9 +329,12 @@ GoldenProfile TrialEngine::RunGolden() {
     golden.targeted_execs[r] = execs;
     if (cmd.profile_sites) {
       std::vector<GoldenSite>& sites = golden.sites[r];
-      for (const auto& [pc, count] : chaser_->rank_chaser(r).site_execs()) {
+      const std::vector<std::uint64_t>& counts =
+          chaser_->rank_chaser(r).site_execs();
+      for (std::uint64_t pc = 0; pc < counts.size(); ++pc) {
+        if (counts[pc] == 0) continue;
         sites.push_back(
-            {pc, guest::ClassOf(spec_.program.text[pc].op), count});
+            {pc, guest::ClassOf(spec_.program.text[pc].op), counts[pc]});
       }
     }
   }
@@ -364,19 +367,19 @@ void TrialEngine::AdoptGolden(const GoldenProfile& golden) {
   }
 }
 
-void TrialEngine::EnterLadder(Rank rank, std::uint64_t trigger_nth) {
+void TrialEngine::EnterLadder(Rank rank, std::uint64_t nth,
+                              std::optional<std::uint64_t> pc) {
   LadderMetrics& metrics = GetLadderMetrics();
-  if (const TrialCheckpoint* cp = ladder_->Deepest(rank, trigger_nth)) {
+  if (const TrialCheckpoint* cp = ladder_->Deepest(rank, nth, pc)) {
     cluster_->RestoreCheckpoint(cp->cluster);
     chaser_->RestoreCheckpoint(cp->chaser);
     metrics.restores.Inc();
     metrics.insns_skipped.Inc(cp->cluster.job.instructions);
   }
   const core::Chaser& injecting = chaser_->rank_chaser(rank);
-  cluster_->set_round_hook([this, rank, trigger_nth, &injecting, &metrics] {
-    // At or past the nth targeted execution the fault has fired: from here
-    // on this trial's state is its own.
-    if (injecting.targeted_executions() >= trigger_nth) return;
+  cluster_->set_round_hook([this, rank, &injecting, &metrics] {
+    // Once the fault has fired, this trial's state is its own.
+    if (injecting.fired()) return;
     const std::optional<std::size_t> rung =
         ladder_->OpenRung(rank, cluster_->instructions());
     if (!rung) return;
@@ -386,7 +389,6 @@ void TrialEngine::EnterLadder(Rank rank, std::uint64_t trigger_nth) {
       return;
     }
     chaser_->SaveCheckpoint(&cp->chaser);
-    cp->targeted_execs = injecting.targeted_executions();
     if (ladder_->Add(rank, *rung, std::move(cp))) {
       metrics.captures.Inc();
       metrics.ladder_bytes.Set(static_cast<std::int64_t>(ladder_->bytes()));
@@ -407,7 +409,8 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
   // sampled path draws a site from the plan and injects at that pc's nth
   // *local* invocation.
   std::shared_ptr<const core::Trigger> trigger;
-  if (config_.sample_policy == SamplePolicy::kUniform) {
+  const bool sampled = config_.sample_policy != SamplePolicy::kUniform;
+  if (!sampled) {
     const auto rank_it = std::next(inject_ranks_.begin(),
                                    static_cast<std::ptrdiff_t>(
                                        run_rng.Index(inject_ranks_.size())));
@@ -443,6 +446,8 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
     rec.fault_class = registry.Find(config_.injector.name)->fault_class;
   }
   cmd.trace = config_.trace;
+  // The site-local trigger fires from Chaser's per-pc counts.
+  cmd.profile_sites = sampled;
   cmd.seed = run_rng.Fork();
   // Trial-window hub faults: install the degradation model for this trial
   // only, seeded by a fork drawn *after* cmd.seed — the default path never
@@ -470,7 +475,10 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
   }
   try {
     cluster_->Start(image_);
-    if (ladder_ != nullptr) EnterLadder(rec.inject_rank, rec.trigger_nth);
+    if (ladder_ != nullptr) {
+      EnterLadder(rec.inject_rank, rec.trigger_nth,
+                  sampled ? std::optional(rec.inject_pc) : std::nullopt);
+    }
     const mpi::JobResult job = [&] {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);
       return cluster_->Run();

@@ -91,8 +91,9 @@ struct RunRecord {
   std::uint64_t run_seed = 0;      // reproduce this exact trial
   std::uint64_t instructions = 0;  // total guest instructions this trial
   /// Hot-path counters summed over ranks (deterministic per run_seed and
-  /// invariant across serial/parallel, shared-cache, and dispatch configs —
-  /// which is why they may live in the identity-checked record).
+  /// invariant across serial/parallel drivers, shared translation caches
+  /// and checkpoint restores — which is why they may live in the
+  /// identity-checked record).
   std::uint64_t tb_chain_hits = 0;
   std::uint64_t tlb_hits = 0;
   std::uint64_t tlb_misses = 0;
@@ -338,8 +339,10 @@ class TrialEngine {
   /// Remove the trial spool's sink from every rank's trace log.
   void DetachSpool();
   /// Right after Start of a ladder trial: restore the deepest checkpoint
-  /// preceding the trigger, then capture open rungs until it fires.
-  void EnterLadder(Rank rank, std::uint64_t trigger_nth);
+  /// preceding the trigger's firing point, then capture open rungs until it
+  /// fires.
+  void EnterLadder(Rank rank, std::uint64_t nth,
+                   std::optional<std::uint64_t> pc);
 
   const apps::AppSpec& spec_;
   const CampaignConfig& config_;
@@ -358,8 +361,8 @@ class TrialEngine {
   /// engine rebuilds it from the same profile deterministically, so worker
   /// engines agree without sharing.
   std::unique_ptr<SamplingPlan> plan_;
-  /// Pre-injection checkpoints of uniform trials (campaign/ladder.h); null
-  /// when this campaign's trials cannot share a prefix.
+  /// Pre-injection checkpoints of this engine's trials (campaign/ladder.h);
+  /// null when this campaign's trials cannot share a prefix.
   std::unique_ptr<CheckpointLadder> ladder_;
 };
 

@@ -1,16 +1,20 @@
-// Trial checkpoints: start each uniform trial from its last pre-injection
-// checkpoint instead of from boot.
+// Trial checkpoints: start each trial from its last pre-injection checkpoint
+// instead of from boot.
 //
-// Before its fault fires, a uniform trial does exactly what every other
-// trial injecting the same rank does: the trigger only counts targeted
-// executions, the injector has not run, and no taint exists. A
-// CheckpointLadder keeps, per inject rank, whole-job checkpoints at
-// Cluster::Run round boundaries spaced golden-instructions / kRungs apart.
-// Whichever trial first passes a rung before its DeterministicTrigger fires
-// captures it; later trials on that rank restore the deepest checkpoint
-// whose targeted-execution count is below their trigger_nth and run only
-// the rest. Records, reports and spools are byte-identical to running every
-// trial from boot (DESIGN.md, "Demand-zero memory and trial checkpoints").
+// Before its fault fires, a trial does exactly what every other trial
+// injecting the same rank does: the trigger only counts targeted executions
+// (per pc, for a sampled campaign's site-local trigger), the injector has
+// not run, and no taint exists. A CheckpointLadder keeps, per inject rank,
+// whole-job checkpoints at Cluster::Run round boundaries spaced
+// golden-instructions / kRungs apart. Whichever trial first passes a rung
+// before its trigger fires captures it; later trials on that rank restore
+// the deepest checkpoint that precedes their own firing point and run only
+// the rest. A uniform trial fires at its nth targeted execution, so a rung
+// qualifies while its targeted-execution count is below nth; a sampled
+// trial fires at the nth execution of one pc, so a rung qualifies while
+// that pc's count is below nth. Records, reports and spools are
+// byte-identical to running every trial from boot (DESIGN.md, "Demand-zero
+// memory and trial checkpoints").
 //
 // Checkpoints come from a trial's own pre-fire run, not from the golden
 // run: golden instruments every inject rank and a trial only one, so TB
@@ -33,8 +37,9 @@ namespace chaser::campaign {
 /// rank's trigger fired.
 struct TrialCheckpoint {
   mpi::Cluster::Checkpoint cluster;
+  /// Carries the inject rank's targeted-execution count and, in sampled
+  /// campaigns, its per-pc site counts.
   core::ChaserMpi::Checkpoint chaser;
-  std::uint64_t targeted_execs = 0;  // the inject rank's count at capture
 };
 
 class CheckpointLadder {
@@ -49,8 +54,10 @@ class CheckpointLadder {
   explicit CheckpointLadder(std::uint64_t golden_instructions);
 
   /// Deepest checkpoint of `rank` that precedes a trigger firing at the
-  /// `nth` targeted execution, or null.
-  const TrialCheckpoint* Deepest(Rank rank, std::uint64_t nth) const;
+  /// `nth` targeted execution or, with `pc` set, at the nth execution of
+  /// that pc; null if none does.
+  const TrialCheckpoint* Deepest(Rank rank, std::uint64_t nth,
+                                 std::optional<std::uint64_t> pc) const;
 
   /// The empty rung a round boundary at `instructions` falls on, if the
   /// ladder still takes captures.

@@ -30,6 +30,13 @@ bool ParseSamplePolicy(const std::string& name, SamplePolicy* out) {
   return true;
 }
 
+bool ParseStopCi(const std::string& text, double* out) {
+  double w = 0.0;
+  if (!ParseDouble(text, &w) || !(w > 0.0 && w < 1.0)) return false;
+  *out = w;
+  return true;
+}
+
 // ---- SamplingPlan ------------------------------------------------------------
 
 SamplingPlan SamplingPlan::Build(const GoldenSiteMap& sites) {

@@ -47,6 +47,9 @@ enum class SamplePolicy : std::uint8_t { kUniform, kWeighted, kStratified };
 const char* SamplePolicyName(SamplePolicy p);
 /// Parse "uniform"/"weighted"/"stratified"; returns false on anything else.
 bool ParseSamplePolicy(const std::string& name, SamplePolicy* out);
+/// Parse a --stop-ci interval width; returns false unless it is a number
+/// strictly inside (0,1) — NaN and the infinities included.
+bool ParseStopCi(const std::string& text, double* out);
 
 /// One injection site observed during the golden run: a static targeted
 /// instruction (pc) with its class and dynamic invocation count on one rank.

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "common/error.h"
 #include "common/log.h"
 #include "common/strings.h"
 #include "obs/profiler.h"
@@ -19,6 +20,11 @@ Chaser::Chaser(vm::Vm& vm, Options options)
 }
 
 void Chaser::Arm(InjectionCommand cmd) {
+  if (!cmd.TraceOnly() && cmd.trigger->SiteLocal() && !cmd.profile_sites) {
+    throw ConfigError(StrFormat(
+        "Chaser: trigger %s counts executions per site; the command must "
+        "set profile_sites", cmd.trigger->Describe().c_str()));
+  }
   cmd_ = std::move(cmd);
   rng_ = std::make_unique<Rng>(cmd_->seed);
   // If the target process is already running, attach right away.
@@ -41,7 +47,10 @@ void Chaser::OnProcessCreate(const std::string& name) {
 void Chaser::Attach() {
   // Fresh per-run state (campaigns re-Start the same VM repeatedly).
   exec_count_ = 0;
-  site_execs_.clear();
+  // Only an instrumented run counts sites; a trace-only rank keeps none.
+  const bool count_sites = cmd_->profile_sites && !cmd_->TraceOnly();
+  site_execs_.assign(count_sites ? vm_.program()->text.size() : 0, 0);
+  fired_ = false;
   records_.clear();
   trace_log_.Clear();
   taint_timeline_.clear();
@@ -131,8 +140,9 @@ void Chaser::Detach() {
 void Chaser::OnInjectorHelper(std::uint64_t pc) {
   if (!injector_active_ || !cmd_) return;
   ++exec_count_;
-  if (cmd_->profile_sites) ++site_execs_[pc];
-  if (!trigger_->ShouldFireAt(exec_count_, pc, *rng_)) {
+  const std::uint64_t site_count =
+      cmd_->profile_sites ? ++site_execs_[pc] : 0;
+  if (!trigger_->ShouldFireAt(exec_count_, pc, site_count, *rng_)) {
     if (trigger_->Expired()) {
       // fi_clean_cb: stop screening and flush the instrumentation out of the
       // translation cache; tracing (taint) stays on.
@@ -144,6 +154,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
     return;
   }
 
+  fired_ = true;
   const obs::ScopedPhase obs_scope(obs::Phase::kInject);
   const guest::Instruction& instr = vm_.program()->text[pc];
   InjectionContext ctx{vm_, pc, instr, exec_count_, vm_.instret(), *rng_, records_};
@@ -170,18 +181,25 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
 }
 
 void Chaser::SaveCheckpoint(Checkpoint* out) const {
-  if (!records_.empty() || !trace_log_.events().empty() ||
-      trace_log_.dropped() != 0 || !site_execs_.empty()) {
+  if (fired_ || !records_.empty() || !trace_log_.events().empty() ||
+      trace_log_.dropped() != 0) {
     throw std::logic_error(
         "Chaser::SaveCheckpoint: the run already injected or traced; "
         "checkpoints hold fault-free prefixes only");
   }
   out->exec_count = exec_count_;
+  out->site_execs = site_execs_;
   out->taint_timeline = taint_timeline_;
 }
 
 void Chaser::RestoreCheckpoint(const Checkpoint& cp) {
+  if (cp.site_execs.size() != site_execs_.size()) {
+    throw std::logic_error(
+        "Chaser::RestoreCheckpoint: checkpoint taken by a run that counted "
+        "sites differently");
+  }
   exec_count_ = cp.exec_count;
+  site_execs_ = cp.site_execs;
   taint_timeline_ = cp.taint_timeline;
 }
 

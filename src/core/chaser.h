@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -43,10 +42,11 @@ struct InjectionCommand {
   std::shared_ptr<FaultInjector> injector;       // null = trace-only
   bool trace = true;                             // enable propagation tracing
   std::uint64_t seed = 1;                        // injector/trigger randomness
-  /// Record a per-pc execution histogram of the targeted instructions
-  /// (site_execs()). Sampled campaigns enable this on the golden run to
-  /// build their importance-sampling frame; off by default — it adds a map
-  /// update per targeted execution.
+  /// Count the executions of each targeted pc (site_execs()). Sampled
+  /// campaigns enable this on the golden run, to build their
+  /// importance-sampling frame, and on every trial, whose site-local
+  /// trigger fires from these counts. Off by default — it adds an array
+  /// update per targeted execution. Required by a site-local trigger.
   bool profile_sites = false;
 
   /// True if this command only traces (no instrumentation is inserted).
@@ -94,12 +94,14 @@ class Chaser {
   /// Executions of targeted instructions observed so far (profiling runs use
   /// this with a NeverTrigger to size deterministic triggers).
   std::uint64_t targeted_executions() const { return exec_count_; }
-  /// Per-pc execution counts of the targeted instructions — populated only
-  /// when the armed command set `profile_sites` (empty otherwise). The
-  /// counts sum to targeted_executions().
-  const std::map<std::uint64_t, std::uint64_t>& site_execs() const {
-    return site_execs_;
-  }
+  /// Per-pc execution counts of the targeted instructions, indexed by pc —
+  /// sized to the program text only when the armed command set
+  /// `profile_sites` and instruments this run (empty otherwise). The counts
+  /// sum to targeted_executions().
+  const std::vector<std::uint64_t>& site_execs() const { return site_execs_; }
+  /// True once the trigger has fired in this run: from then on the run's
+  /// state is its own, no longer a prefix shared with other runs.
+  bool fired() const { return fired_; }
   const std::vector<InjectionRecord>& injections() const { return records_; }
   TraceLog& trace_log() { return trace_log_; }
   const TraceLog& trace_log() const { return trace_log_; }
@@ -108,14 +110,17 @@ class Chaser {
   vm::Vm& vm() { return vm_; }
   Rng& rng() { return *rng_; }
 
-  /// Per-run state of a fault-free prefix: the targeted-execution count and
+  /// Per-run state of a fault-free prefix: the targeted-execution count,
+  /// the per-pc site counts (empty unless the command profiles sites) and
   /// the taint timeline. Everything else a run accumulates (injections,
-  /// trace events, site counts) is empty until a fault fires.
+  /// trace events) is empty until a fault fires.
   struct Checkpoint {
     std::uint64_t exec_count = 0;
+    std::vector<std::uint64_t> site_execs;
     std::vector<TaintSample> taint_timeline;
   };
-  /// Throws std::logic_error if an injection or trace event already exists.
+  /// Throws std::logic_error if the trigger fired or an injection or trace
+  /// event already exists.
   void SaveCheckpoint(Checkpoint* out) const;
   /// Overwrite the attached run's state with `cp`.
   void RestoreCheckpoint(const Checkpoint& cp);
@@ -135,9 +140,10 @@ class Chaser {
   std::unique_ptr<Rng> rng_;
   bool attached_ = false;
   bool injector_active_ = false;
+  bool fired_ = false;
 
   std::uint64_t exec_count_ = 0;
-  std::map<std::uint64_t, std::uint64_t> site_execs_;  // pc -> executions
+  std::vector<std::uint64_t> site_execs_;  // pc -> executions
   std::vector<InjectionRecord> records_;
   TraceLog trace_log_;
   std::vector<TaintSample> taint_timeline_;

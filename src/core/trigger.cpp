@@ -31,7 +31,7 @@ std::string DeterministicTrigger::Describe() const {
 ProbabilisticTrigger::ProbabilisticTrigger(double probability,
                                            std::uint64_t max_injections)
     : probability_(probability), max_injections_(max_injections) {
-  if (probability < 0.0 || probability > 1.0) {
+  if (!(probability >= 0.0 && probability <= 1.0)) {  // NaN fails both
     throw ConfigError("ProbabilisticTrigger: probability must be in [0,1]");
   }
 }
@@ -84,16 +84,16 @@ PcNthTrigger::PcNthTrigger(std::uint64_t pc, std::uint64_t nth)
 }
 
 bool PcNthTrigger::ShouldFire(std::uint64_t exec_count, Rng& rng) {
-  return ShouldFireAt(exec_count, pc_, rng);
+  return ShouldFireAt(exec_count, pc_, exec_count, rng);
 }
 
-bool PcNthTrigger::ShouldFireAt(std::uint64_t, std::uint64_t pc, Rng&) {
+bool PcNthTrigger::ShouldFireAt(std::uint64_t, std::uint64_t pc,
+                                std::uint64_t site_count, Rng&) {
   if (fired_ || pc != pc_) return false;
-  ++seen_;
-  if (seen_ != nth_) {
+  if (site_count != nth_) {
     // Past nth without firing cannot happen (Chaser detaches on expiry), but
     // stay correct if the caller keeps counting.
-    if (seen_ > nth_) fired_ = true;
+    if (site_count > nth_) fired_ = true;
     return false;
   }
   fired_ = true;

@@ -24,14 +24,22 @@ class Trigger {
   virtual bool ShouldFire(std::uint64_t exec_count, Rng& rng) = 0;
 
   /// Site-aware variant: Chaser calls this one, passing the pc of the
-  /// targeted instruction about to execute. The default forwards to
-  /// ShouldFire — existing triggers are pc-oblivious and keep their exact
-  /// behavior; site-local triggers (PcNthTrigger) override it.
+  /// targeted instruction about to execute and `site_count`, that pc's
+  /// 1-based execution count (0 when the command does not profile sites).
+  /// The count lives in Chaser, not in the trigger, so restoring a
+  /// checkpoint restores it. The default forwards to ShouldFire — existing
+  /// triggers are pc-oblivious and keep their exact behavior; site-local
+  /// triggers (PcNthTrigger) override it.
   virtual bool ShouldFireAt(std::uint64_t exec_count, std::uint64_t pc,
-                            Rng& rng) {
+                            std::uint64_t site_count, Rng& rng) {
     (void)pc;
+    (void)site_count;
     return ShouldFire(exec_count, rng);
   }
+
+  /// True if ShouldFireAt reads `site_count`: Chaser then requires the
+  /// command to profile sites.
+  virtual bool SiteLocal() const { return false; }
 
   /// True once no further firing is possible; Chaser detaches the injector.
   virtual bool Expired() const = 0;
@@ -91,18 +99,19 @@ class GroupTrigger final : public Trigger {
 };
 
 /// Site-local deterministic fault model (importance-sampled campaigns): fire
-/// exactly at the n-th execution *of one pc*, counting only that pc's
-/// executions. The global execution count is ignored — the sampler picks an
+/// exactly at the n-th execution *of one pc*, as counted by Chaser's site
+/// counts. The global execution count is ignored — the sampler picks an
 /// (equivalence class, invocation) pair, and the class is identified by its
 /// pc, not by its position in the global targeted stream.
 class PcNthTrigger final : public Trigger {
  public:
   PcNthTrigger(std::uint64_t pc, std::uint64_t nth);
-  /// Pc-less call sites are assumed to be at the target pc (the trigger
-  /// cannot tell otherwise); Chaser always uses ShouldFireAt.
+  /// Pc-less call sites are assumed to execute only the target pc, so the
+  /// global count is its site count; Chaser always uses ShouldFireAt.
   bool ShouldFire(std::uint64_t exec_count, Rng& rng) override;
   bool ShouldFireAt(std::uint64_t exec_count, std::uint64_t pc,
-                    Rng& rng) override;
+                    std::uint64_t site_count, Rng& rng) override;
+  bool SiteLocal() const override { return true; }
   bool Expired() const override { return fired_; }
   std::unique_ptr<Trigger> Clone() const override;
   std::string Describe() const override;
@@ -110,7 +119,6 @@ class PcNthTrigger final : public Trigger {
  private:
   std::uint64_t pc_;
   std::uint64_t nth_;
-  std::uint64_t seen_ = 0;  // executions of pc_ observed so far
   bool fired_ = false;
 };
 

@@ -125,7 +125,7 @@ class GuestMemory {
     std::uint64_t Bytes() const;
   };
   void Save(Snapshot* out) const;
-  /// Replace the whole memory by `snap`. The TLB enable flag is kept.
+  /// Replace the whole memory by `snap`, TLB entries and counters included.
   void Restore(const Snapshot& snap);
 
  private:

@@ -2,8 +2,9 @@
 // start from pre-injection checkpoints must produce exactly what running
 // every trial from boot produces. The oracle is a fresh TrialEngine per
 // trial — its ladder is empty, so it always boots — and the comparison
-// covers every record field and every byte of every per-trial spool, on
-// every driver, and on the configurations that must bypass the ladder.
+// covers every record field and every byte of every per-trial spool, for
+// uniform and sampled policies, on every driver, and on the configurations
+// that must bypass the ladder.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -46,6 +47,7 @@ apps::AppSpec BuildApp(const std::string& app) {
   if (app == "clamr") return apps::BuildClamr({});
   if (app == "lud") return apps::BuildLud({});
   if (app == "bfs") return apps::BuildBfs({});
+  if (app == "kmeans") return apps::BuildKmeans({});
   throw std::invalid_argument(app);
 }
 
@@ -130,14 +132,26 @@ CampaignConfig BaseConfig(const std::string& app, const apps::AppSpec& spec) {
 // ---- identity against the boot-every-trial oracle ---------------------------
 
 class CheckpointIdentity
-    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, bool, SamplePolicy>> {};
+
+std::string IdentityName(
+    const ::testing::TestParamInfo<CheckpointIdentity::ParamType>& info) {
+  const auto& [app, trace, policy] = info.param;
+  std::string name = app + (trace ? "_trace" : "_notrace");
+  if (policy != SamplePolicy::kUniform) {
+    name += std::string("_") + SamplePolicyName(policy);
+  }
+  return name;
+}
 
 TEST_P(CheckpointIdentity, RecordsAndSpoolsMatchFreshEngines) {
-  const auto& [app, trace] = GetParam();
+  const auto& [app, trace, policy] = GetParam();
   const apps::AppSpec spec = BuildApp(app);
   CampaignConfig config = BaseConfig(app, spec);
   config.trace = trace;
-  const std::string dir = TempDir(app + (trace ? "_trace" : "_notrace"));
+  config.sample_policy = policy;
+  const std::string dir = TempDir(IdentityName({GetParam(), 0}));
 
   CampaignConfig oracle_config = config;
   oracle_config.spool_dir = dir + "/oracle";
@@ -166,11 +180,20 @@ TEST_P(CheckpointIdentity, RecordsAndSpoolsMatchFreshEngines) {
 INSTANTIATE_TEST_SUITE_P(
     Apps, CheckpointIdentity,
     ::testing::Combine(::testing::Values("matvec", "clamr", "lud", "bfs"),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      return std::get<0>(info.param) +
-             (std::get<1>(info.param) ? "_trace" : "_notrace");
-    });
+                       ::testing::Bool(),
+                       ::testing::Values(SamplePolicy::kUniform)),
+    IdentityName);
+
+// Sampled trials fire at the nth execution of one pc: a restored checkpoint
+// must carry the inject rank's per-pc counts. On clamr every rank injects,
+// so the stratified cases draw sites on several ranks.
+INSTANTIATE_TEST_SUITE_P(
+    Sampled, CheckpointIdentity,
+    ::testing::Combine(::testing::Values("kmeans", "matvec", "lud", "clamr"),
+                       ::testing::Bool(),
+                       ::testing::Values(SamplePolicy::kWeighted,
+                                         SamplePolicy::kStratified)),
+    IdentityName);
 
 // ---- every driver agrees with the oracle ------------------------------------
 
@@ -241,6 +264,148 @@ TEST(CheckpointDrivers, SerialParallelShardedAndResumedMatchTheOracle) {
   }
 }
 
+TEST(CheckpointDrivers, WeightedStopCiStopsAtTheSamePointOnEveryDriver) {
+  const apps::AppSpec spec = BuildApp("kmeans");
+  CampaignConfig config = BaseConfig("kmeans", spec);
+  config.runs = 160;
+  config.sample_policy = SamplePolicy::kWeighted;
+  config.stop_ci = 0.3;  // wide enough to fire well before 160 trials
+  MergePlan plan;
+  plan.app = "kmeans";
+  plan.runs = config.runs;
+  plan.seed = config.seed;
+  plan.sample_policy = config.sample_policy;
+  plan.stop_ci = config.stop_ci;
+  // The oracle: every planned trial booted on a fresh engine, cut at the
+  // stop point by the same rule the merge applies.
+  const CampaignResult want =
+      MergeShardRecords(plan, FreshEngineRecords(spec, config));
+  ASSERT_TRUE(want.stopped_early) << "the stop rule must fire for this test";
+  const std::string want_report = want.Render("kmeans");
+  const auto expect_oracle = [&](const CampaignResult& got) {
+    ExpectSameRecords(got.records, want.records);
+    EXPECT_EQ(got.runs, want.runs);
+    EXPECT_TRUE(got.stopped_early);
+    EXPECT_EQ(got.Render("kmeans"), want_report);
+  };
+
+  const std::uint64_t restores0 =
+      CounterValue("trial_checkpoint_restores_total");
+  {
+    SCOPED_TRACE("serial");
+    Campaign serial(spec, config);
+    expect_oracle(serial.Run());
+  }
+  EXPECT_GT(CounterValue("trial_checkpoint_restores_total"), restores0);
+  {
+    SCOPED_TRACE("parallel --jobs 4");
+    ParallelCampaign parallel(spec, config, 4);
+    expect_oracle(parallel.Run());
+  }
+  {
+    SCOPED_TRACE("3 shards");
+    std::vector<RunRecord> shard_records;
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      CampaignConfig shard = config;
+      shard.shard_index = s;
+      shard.shard_count = 3;
+      Campaign worker(spec, shard);
+      const CampaignResult part = worker.Run();
+      shard_records.insert(shard_records.end(), part.records.begin(),
+                           part.records.end());
+    }
+    expect_oracle(MergeShardRecords(plan, shard_records));
+  }
+  {
+    SCOPED_TRACE("mid-campaign resume");
+    const std::string dir = TempDir("resume_weighted");
+    CampaignConfig resumed = config;
+    resumed.journal_path = dir + "/journal.chj";
+    {
+      // A campaign killed after 9 trials left this journal behind.
+      std::vector<RunRecord> none;
+      TrialJournal journal(resumed.journal_path, config.seed, spec.name, &none);
+      for (std::size_t i = 0; i < 9; ++i) journal.Append(want.records[i]);
+    }
+    Campaign campaign(spec, resumed);
+    expect_oracle(campaign.Run());
+    fs::remove_all(dir);
+  }
+}
+
+// ---- the site-keyed ladder ---------------------------------------------------
+
+/// A checkpoint of `rank` (of 2) whose inject-rank chaser holds `execs`
+/// targeted executions and the given per-pc counts.
+std::unique_ptr<TrialCheckpoint> Rung(Rank rank, std::uint64_t execs,
+                                      std::vector<std::uint64_t> sites) {
+  auto cp = std::make_unique<TrialCheckpoint>();
+  cp->chaser.ranks.resize(2);
+  cp->chaser.ranks[static_cast<std::size_t>(rank)].exec_count = execs;
+  cp->chaser.ranks[static_cast<std::size_t>(rank)].site_execs = std::move(sites);
+  return cp;
+}
+
+TEST(CheckpointLadderSites, DeepestRungBelowTheSiteCount) {
+  // Golden 800 instructions: rungs 1..7 sit 100 instructions apart.
+  CheckpointLadder ladder(800);
+  // pc 2 runs 3 times per rung; pc 3 only from rung 3 on; pc 4 never.
+  ASSERT_TRUE(ladder.Add(0, 1, Rung(0, 10, {0, 0, 3, 0, 0})));
+  ASSERT_TRUE(ladder.Add(0, 2, Rung(0, 20, {0, 0, 6, 0, 0})));
+  ASSERT_TRUE(ladder.Add(0, 3, Rung(0, 30, {0, 0, 9, 1, 0})));
+  const auto rung_of = [&](const TrialCheckpoint* cp) -> int {
+    if (cp == nullptr) return 0;
+    return static_cast<int>(cp->chaser.ranks[0].exec_count / 10);
+  };
+  // A rung whose count equals nth has already fired there: never chosen.
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 6, 2)), 1);
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 7, 2)), 2);  // count nth-1 = 6
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 3, 2)), 0);
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 1, 3)), 2);
+  // A pc absent from every prefix qualifies every rung.
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 1, 4)), 3);
+  // Uniform draws keep the global rule: targeted_execs < nth.
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 20, std::nullopt)), 1);
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 21, std::nullopt)), 2);
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 10, std::nullopt)), 0);
+  // Rungs are keyed by rank: rank 1 has none.
+  EXPECT_EQ(ladder.Deepest(1, 1, 4), nullptr);
+  ASSERT_TRUE(ladder.Add(1, 5, Rung(1, 50, {0, 0, 0, 0, 0})));
+  EXPECT_EQ(ladder.Deepest(1, 1, 2), ladder.Deepest(1, 1, 4));
+  EXPECT_NE(ladder.Deepest(1, 1, 2), nullptr);
+  EXPECT_EQ(rung_of(ladder.Deepest(0, 1, 4)), 3);
+}
+
+TEST(CheckpointLadderSites, StratifiedClamrRestoresOnEveryInjectRank) {
+  // Every clamr rank injects: a stratified draw lands on any rank, and each
+  // trial may only restore its own rank's rungs.
+  const apps::AppSpec spec = BuildApp("clamr");
+  CampaignConfig config = BaseConfig("clamr", spec);
+  config.sample_policy = SamplePolicy::kStratified;
+  config.runs = 32;
+  tcg::SharedTbCache cache;
+  config.shared_tb_cache = &cache;
+  const std::vector<RunRecord> want = FreshEngineRecords(spec, config);
+  const std::set<Rank> ranks = InjectRanks(config);
+  TrialEngine engine(spec, config, ranks);
+  const GoldenProfile golden = engine.RunGolden();
+  engine.AdoptGolden(golden);
+  std::vector<RunRecord> got;
+  std::set<Rank> restored_on;
+  for (const std::uint64_t seed :
+       Campaign::DeriveTrialSeeds(config.seed, config.runs)) {
+    const std::uint64_t restores0 =
+        CounterValue("trial_checkpoint_restores_total");
+    got.push_back(engine.RunTrial(seed));
+    if (CounterValue("trial_checkpoint_restores_total") > restores0) {
+      restored_on.insert(got.back().inject_rank);
+    }
+  }
+  ExpectSameRecords(got, want);
+  EXPECT_GE(restored_on.size(), 2u)
+      << "restores should happen on several inject ranks, not only rank 0";
+}
+
 // ---- configurations that must bypass the ladder -----------------------------
 
 void ExpectBypass(const std::string& app, CampaignConfig config) {
@@ -255,18 +420,6 @@ void ExpectBypass(const std::string& app, CampaignConfig config) {
   EXPECT_EQ(CounterValue("trial_checkpoint_captures_total"), captures0);
   EXPECT_EQ(CounterValue("trial_checkpoint_restores_total"), restores0);
   ExpectSameRecords(got.records, want);
-}
-
-TEST(CheckpointBypass, SampledPolicies) {
-  // Sampled trials fire PcNthTriggers: their pre-fire state is per site.
-  for (const SamplePolicy policy :
-       {SamplePolicy::kWeighted, SamplePolicy::kStratified}) {
-    SCOPED_TRACE(SamplePolicyName(policy));
-    const apps::AppSpec spec = BuildApp("matvec");
-    CampaignConfig config = BaseConfig("matvec", spec);
-    config.sample_policy = policy;
-    ExpectBypass("matvec", config);
-  }
 }
 
 TEST(CheckpointBypass, HubFaultModel) {

@@ -3,8 +3,11 @@
 // and the inject_fault console.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <deque>
+#include <limits>
 
 #include "common/bits.h"
 #include "common/error.h"
@@ -69,6 +72,12 @@ TEST(Trigger, ProbabilisticRoughRate) {
 TEST(Trigger, ProbabilisticValidatesP) {
   EXPECT_THROW(ProbabilisticTrigger(-0.1), ConfigError);
   EXPECT_THROW(ProbabilisticTrigger(1.1), ConfigError);
+  // NaN compares false against both bounds; it must not slip through to
+  // std::bernoulli_distribution, where it is undefined.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ProbabilisticTrigger{std::nan("")}, ConfigError);
+  EXPECT_THROW(ProbabilisticTrigger{inf}, ConfigError);
+  EXPECT_THROW(ProbabilisticTrigger{-inf}, ConfigError);
 }
 
 TEST(Trigger, GroupFiresOnStride) {
@@ -212,6 +221,94 @@ TEST(ChaserCore, CountsTargetedExecutions) {
   EXPECT_TRUE(chaser.attached());
   EXPECT_EQ(chaser.targeted_executions(), 20u);
   EXPECT_TRUE(chaser.injections().empty());
+}
+
+std::uint64_t FaddPc() {
+  const guest::Program& p = FaddLoopProgram();
+  for (std::uint64_t pc = 0; pc < p.text.size(); ++pc) {
+    if (guest::ClassOf(p.text[pc].op) == guest::InstrClass::kFadd) return pc;
+  }
+  throw std::logic_error("faddloop has no fadd");
+}
+
+InjectionCommand SiteCommand(std::shared_ptr<const Trigger> trigger) {
+  InjectionCommand cmd;
+  cmd.target_program = "faddloop";
+  cmd.target_classes = {guest::InstrClass::kFadd, guest::InstrClass::kAdd};
+  cmd.trigger = std::move(trigger);
+  cmd.injector = DeterministicInjector::Create(0, 1ull << 52);
+  cmd.profile_sites = true;
+  return cmd;
+}
+
+TEST(ChaserCore, SiteCountsAreAFlatPerPcArraySummingToExecutions) {
+  vm::Vm vm;
+  Chaser chaser(vm);
+  chaser.Arm(SiteCommand(std::make_shared<NeverTrigger>()));
+  vm.StartProcess(FaddLoopProgram());
+  vm.RunToCompletion();
+  const std::vector<std::uint64_t>& sites = chaser.site_execs();
+  ASSERT_EQ(sites.size(), FaddLoopProgram().text.size());
+  EXPECT_EQ(sites[FaddPc()], 20u);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t n : sites) sum += n;
+  EXPECT_EQ(sum, chaser.targeted_executions());
+  EXPECT_EQ(sum, 40u);  // 20 fadds + 20 loop-counter adds
+
+  // Without profile_sites nothing is counted per pc.
+  InjectionCommand plain = SiteCommand(std::make_shared<NeverTrigger>());
+  plain.profile_sites = false;
+  chaser.Arm(plain);
+  vm.StartProcess(FaddLoopProgram());
+  vm.RunToCompletion();
+  EXPECT_TRUE(chaser.site_execs().empty());
+  EXPECT_EQ(chaser.targeted_executions(), 40u);
+}
+
+TEST(ChaserCore, SiteLocalTriggerRequiresSiteProfiling) {
+  vm::Vm vm;
+  Chaser chaser(vm);
+  InjectionCommand cmd = SiteCommand(std::make_shared<PcNthTrigger>(FaddPc(), 3));
+  cmd.profile_sites = false;
+  EXPECT_THROW(chaser.Arm(cmd), ConfigError);
+}
+
+TEST(ChaserCore, RestoredSiteCountFiresOnTheNextExecution) {
+  // A run whose checkpoint holds the fadd's count at nth-1 must fire at the
+  // very next fadd — exactly where nth=1 fires from boot.
+  auto run = [](std::uint64_t nth, std::uint64_t restored_count) {
+    vm::Vm vm;
+    Chaser chaser(vm);
+    chaser.Arm(SiteCommand(std::make_shared<PcNthTrigger>(FaddPc(), nth)));
+    vm.StartProcess(FaddLoopProgram());
+    Chaser::Checkpoint cp;
+    chaser.SaveCheckpoint(&cp);
+    cp.exec_count = restored_count;
+    cp.site_execs[FaddPc()] = restored_count;
+    chaser.RestoreCheckpoint(cp);
+    vm.RunToCompletion();
+    EXPECT_TRUE(chaser.fired());
+    return chaser.injections();
+  };
+  const std::vector<InjectionRecord> boot = run(1, 0);
+  const std::vector<InjectionRecord> restored = run(5, 4);
+  ASSERT_EQ(boot.size(), 1u);
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_EQ(restored[0].pc, FaddPc());
+  EXPECT_EQ(restored[0].instret, boot[0].instret);
+  EXPECT_EQ(restored[0].exec_count, 5u);
+  EXPECT_EQ(restored[0].new_value, boot[0].new_value);
+}
+
+TEST(ChaserCore, CheckpointRefusesAFiredRun) {
+  vm::Vm vm;
+  Chaser chaser(vm);
+  chaser.Arm(SiteCommand(std::make_shared<PcNthTrigger>(FaddPc(), 2)));
+  vm.StartProcess(FaddLoopProgram());
+  vm.RunToCompletion();
+  ASSERT_TRUE(chaser.fired());
+  Chaser::Checkpoint cp;
+  EXPECT_THROW(chaser.SaveCheckpoint(&cp), std::logic_error);
 }
 
 TEST(ChaserCore, DoesNotAttachToOtherPrograms) {
@@ -492,6 +589,12 @@ TEST(Console, ParseErrors) {
   EXPECT_THROW(ParseInjectFault({"-p", "x", "-i", "mov", "-m", "huh"}), CommandError);
   EXPECT_THROW(ParseInjectFault({"-p", "x", "-i", "mov", "-c"}), CommandError);
   EXPECT_THROW(ParseInjectFault({"-p", "x", "-i", "mov", "-zz", "1"}), CommandError);
+  for (const char* p : {"nan", "inf", "-inf"}) {
+    EXPECT_THROW(
+        ParseInjectFault({"-p", "x", "-i", "mov", "-m", "prob", "-P", p}),
+        ConfigError)
+        << p;
+  }
 }
 
 TEST(Console, RegistryDispatch) {

@@ -126,6 +126,18 @@ TEST(SamplePolicy, NamesRoundTrip) {
   EXPECT_FALSE(ParseSamplePolicy("adaptive", &out));
 }
 
+TEST(SamplePolicy, StopCiAcceptsOnlyFiniteWidthsInsideTheUnitInterval) {
+  double w = 0.0;
+  ASSERT_TRUE(ParseStopCi("0.05", &w));
+  EXPECT_EQ(w, 0.05);
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "0", "1", "-0.1", "1.5", "", "0.1x", "abc"}) {
+    double out = 0.25;
+    EXPECT_FALSE(ParseStopCi(bad, &out)) << "'" << bad << "'";
+    EXPECT_EQ(out, 0.25) << "a rejected width must not be stored";
+  }
+}
+
 // ---- Wilson intervals ---------------------------------------------------------
 
 TEST(Wilson, MatchesKnownValue) {
@@ -225,18 +237,36 @@ TEST(PcNthTrigger, FiresAtNthLocalInvocationOfItsPcOnly) {
   core::PcNthTrigger trig(/*pc=*/40, /*nth=*/3);
   Rng rng(1);
   std::uint64_t exec = 0;
-  EXPECT_FALSE(trig.ShouldFireAt(++exec, 40, rng));  // 1st at pc
-  EXPECT_FALSE(trig.ShouldFireAt(++exec, 41, rng));  // other pc: not counted
-  EXPECT_FALSE(trig.ShouldFireAt(++exec, 40, rng));  // 2nd at pc
-  EXPECT_TRUE(trig.ShouldFireAt(++exec, 40, rng));   // 3rd: fire
+  EXPECT_FALSE(trig.ShouldFireAt(++exec, 40, 1, rng));  // 1st at pc
+  EXPECT_FALSE(trig.ShouldFireAt(++exec, 41, 3, rng));  // other pc: ignored
+  EXPECT_FALSE(trig.ShouldFireAt(++exec, 40, 2, rng));  // 2nd at pc
+  EXPECT_TRUE(trig.ShouldFireAt(++exec, 40, 3, rng));   // 3rd: fire
   EXPECT_TRUE(trig.Expired());
-  EXPECT_FALSE(trig.ShouldFireAt(++exec, 40, rng));  // one-shot
+  EXPECT_FALSE(trig.ShouldFireAt(++exec, 40, 3, rng));  // one-shot
+}
+
+TEST(PcNthTrigger, FiresFromTheCountItIsGivenNotFromCallsItSaw) {
+  // A trial restored from a checkpoint whose site count is nth-1 makes its
+  // first call with count nth: the trigger must fire right there.
+  core::PcNthTrigger trig(/*pc=*/40, /*nth=*/7);
+  Rng rng(1);
+  EXPECT_TRUE(trig.ShouldFireAt(/*exec_count=*/90, 40, /*site_count=*/7, rng));
+  EXPECT_TRUE(trig.Expired());
+  EXPECT_TRUE(trig.SiteLocal());
+  // A count already past nth means the firing point was skipped: expire.
+  core::PcNthTrigger late(40, 7);
+  EXPECT_FALSE(late.ShouldFireAt(91, 40, 8, rng));
+  EXPECT_TRUE(late.Expired());
+  // Pc-less callers execute only the target pc: the global count is its count.
+  core::PcNthTrigger pcless(40, 2);
+  EXPECT_FALSE(pcless.ShouldFire(1, rng));
+  EXPECT_TRUE(pcless.ShouldFire(2, rng));
 }
 
 TEST(PcNthTrigger, CloneRestartsCounting) {
   core::PcNthTrigger trig(40, 1);
   Rng rng(1);
-  EXPECT_TRUE(trig.ShouldFireAt(1, 40, rng));
+  EXPECT_TRUE(trig.ShouldFireAt(1, 40, 1, rng));
   const auto fresh = trig.Clone();
   EXPECT_FALSE(fresh->Expired());
 }

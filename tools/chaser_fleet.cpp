@@ -506,11 +506,8 @@ int RunFleet(int argc, char** argv) {
         throw ConfigError("bad --sample policy '" + policy + "'");
       }
     } else if (a == "--stop-ci") {
-      char* end = nullptr;
-      const std::string val = ArgStr(argc, argv, i, "--stop-ci");
-      plan.stop_ci = std::strtod(val.c_str(), &end);
-      if (end == val.c_str() || *end != '\0' || plan.stop_ci <= 0.0 ||
-          plan.stop_ci >= 1.0) {
+      if (!campaign::ParseStopCi(ArgStr(argc, argv, i, "--stop-ci"),
+                                 &plan.stop_ci)) {
         throw ConfigError("--stop-ci expects an interval width in (0,1)");
       }
     } else if (a == "--worker") {
@@ -759,11 +756,8 @@ int RunMerge(int argc, char** argv) {
         throw ConfigError("bad --sample policy '" + policy + "'");
       }
     } else if (a == "--stop-ci") {
-      char* end = nullptr;
-      const std::string val = ArgStr(argc, argv, i, "--stop-ci");
-      plan.stop_ci = std::strtod(val.c_str(), &end);
-      if (end == val.c_str() || *end != '\0' || plan.stop_ci <= 0.0 ||
-          plan.stop_ci >= 1.0) {
+      if (!campaign::ParseStopCi(ArgStr(argc, argv, i, "--stop-ci"),
+                                 &plan.stop_ci)) {
         throw ConfigError("--stop-ci expects an interval width in (0,1)");
       }
     } else if (a == "--out") {

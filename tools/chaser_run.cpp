@@ -233,11 +233,7 @@ int main(int argc, char** argv) {
         }
       } else if (a == "--stop-ci") {
         if (i + 1 >= argc) throw ConfigError("missing value for --stop-ci");
-        char* end = nullptr;
-        const std::string val = argv[++i];
-        config.stop_ci = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0' || config.stop_ci <= 0.0 ||
-            config.stop_ci >= 1.0) {
+        if (!campaign::ParseStopCi(argv[++i], &config.stop_ci)) {
           throw ConfigError("--stop-ci expects an interval width in (0,1)");
         }
       } else if (a == "--no-trace") {

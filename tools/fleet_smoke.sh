@@ -52,9 +52,13 @@ if [[ -z "$ENDPOINT" ]]; then
 fi
 echo "   hub at $ENDPOINT"
 
-shard() {  # shard <i> -> runs shard i/2 against the hub, journaled
-  local i="$1"
-  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
+shard() {  # shard <i> [exec] -> runs shard i/2 against the hub, journaled
+  # "exec" replaces the (background) subshell with chaser_run, so that $!
+  # is the worker itself: a SIGKILL to a function's subshell would leave
+  # the worker running, racing the resume for the journal and --out file.
+  local i="$1" launch=()
+  [[ "${2:-}" == exec ]] && launch=(exec)
+  "${launch[@]}" "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
          --shard "$i/2" --hub "$ENDPOINT" \
          --resume "$WORK/shard-$i.journal" \
          --out "$WORK/shard-$i.csv"
@@ -64,7 +68,7 @@ echo "== shards: worker 0 runs clean; worker 1 is SIGKILLed mid-run"
 shard 0 >"$WORK/shard-0.log" 2>&1 || {
   echo "fleet_smoke: FAIL (shard 0 crashed; see $WORK/shard-0.log)"; exit 1; }
 
-shard 1 >"$WORK/shard-1.log" 2>&1 &
+shard 1 exec >"$WORK/shard-1.log" 2>&1 &
 VICTIM=$!
 for _ in $(seq 1 500); do
   size=$(stat -c %s "$WORK/shard-1.journal" 2>/dev/null || echo 0)

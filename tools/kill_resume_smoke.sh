@@ -6,10 +6,13 @@
 # resumed run's CSV + report must be byte-identical to an uninterrupted
 # reference run of the same campaign.
 #
-# usage: tools/kill_resume_smoke.sh [path/to/chaser_run] [jobs] [app]
+# usage: tools/kill_resume_smoke.sh [path/to/chaser_run] [jobs] [app] [flags...]
 #
 # app defaults to matvec; clamr exercises the trial-checkpoint ladder, whose
-# resumed process starts with an empty ladder and must still match.
+# resumed process starts with an empty ladder and must still match. Any
+# further arguments are passed to every chaser_run invocation (for example
+# `--runs 400 --sample weighted --stop-ci 0.1`; a later --runs overrides
+# the default).
 #
 # Exits 0 on success, 1 on any divergence. Safe to run repeatedly.
 set -u
@@ -17,6 +20,7 @@ set -u
 BIN="${1:-build/tools/chaser_run}"
 JOBS="${2:-4}"
 APP="${3:-matvec}"
+EXTRA=("${@:4}")
 RUNS=60
 SEED=20260806
 
@@ -29,20 +33,25 @@ fi
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-kill-resume.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-run() {  # run <csv> <report> [extra flags...]
+run() {  # run [exec] <csv> <report> [extra flags...]
+  # "exec" replaces the (background) subshell with chaser_run, so that $!
+  # is the campaign itself: a SIGKILL to a function's subshell would leave
+  # chaser_run running, racing the resume for the journal and --out file.
+  local launch=()
+  if [[ "$1" == exec ]]; then launch=(exec); shift; fi
   local csv="$1" report="$2"
   shift 2
-  "$BIN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs "$JOBS" \
-         --out "$csv" "$@" >"$report" 2>&1
+  "${launch[@]}" "$BIN" --app "$APP" --runs "$RUNS" --seed "$SEED" \
+         --jobs "$JOBS" "${EXTRA[@]}" --out "$csv" "$@" >"$report" 2>&1
 }
 
-echo "== reference: uninterrupted $APP campaign ($RUNS trials, --jobs $JOBS)"
+echo "== reference: uninterrupted $APP campaign (--runs $RUNS --jobs $JOBS ${EXTRA[*]})"
 run "$WORK/ref.csv" "$WORK/ref.report" || {
   echo "kill_resume_smoke: FAIL (reference run crashed)"; exit 1; }
 
 echo "== victim: same campaign with --resume, SIGKILLed mid-flight"
 JOURNAL="$WORK/trials.journal"
-run "$WORK/victim.csv" "$WORK/victim.report" --resume "$JOURNAL" &
+run exec "$WORK/victim.csv" "$WORK/victim.report" --resume "$JOURNAL" &
 VICTIM=$!
 
 # Wait until the journal shows real progress (some frames past the header),

@@ -33,8 +33,12 @@ WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-obs-smoke.XXXXXX")"
 FLEET_PID=
 trap '[[ -n "$FLEET_PID" ]] && kill "$FLEET_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
-fleet_run() {  # fleet_run <dir> <obs 0|1>
-  "$FLEET" run --app "$APP" --runs "$RUNS" --seed "$SEED" \
+fleet_run() {  # fleet_run <dir> <obs 0|1> [exec]
+  # "exec" replaces the (background) subshell with chaser_fleet, so that the
+  # exit trap's kill reaches the fleet, not only a function's subshell.
+  local launch=()
+  [[ "${3:-}" == exec ]] && launch=(exec)
+  "${launch[@]}" "$FLEET" run --app "$APP" --runs "$RUNS" --seed "$SEED" \
       --shards 2 --spawn-hub 1 --dir "$1" --obs "$2"
 }
 
@@ -43,7 +47,7 @@ fleet_run "$WORK/dark" 0 >"$WORK/dark.log" 2>&1 || {
   echo "obs_smoke: FAIL (dark fleet crashed; see $WORK/dark.log)"; exit 1; }
 
 echo "== watched fleet: 2 shards + hubd, all serving /metrics (--obs 1)"
-fleet_run "$WORK/obs" 1 >"$WORK/obs.log" 2>&1 &
+fleet_run "$WORK/obs" 1 exec >"$WORK/obs.log" 2>&1 &
 FLEET_PID=$!
 
 # Wait for fleet-status.json to advertise obs endpoints ("obs": "H:P"

@@ -46,14 +46,19 @@ echo "== store: same campaign into a CTR store, uninterrupted"
   echo "store_smoke: FAIL (clean store run crashed; see $WORK/clean.log)"
   exit 1; }
 
-store_run() {  # journaled CTR run into $WORK/kill.ctr
-  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
+store_run() {  # [exec] -> journaled CTR run into $WORK/kill.ctr
+  # "exec" replaces the (background) subshell with chaser_run, so that $!
+  # is the campaign itself: a SIGKILL to a function's subshell would leave
+  # chaser_run running, racing the resume for the journal and the store.
+  local launch=()
+  [[ "${1:-}" == exec ]] && launch=(exec)
+  "${launch[@]}" "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
          --resume "$WORK/kill.journal" \
          --out "$WORK/kill.ctr" --records-format ctr
 }
 
 echo "== kill: journaled CTR run is SIGKILLed mid-campaign"
-store_run >"$WORK/kill.log" 2>&1 &
+store_run exec >"$WORK/kill.log" 2>&1 &
 VICTIM=$!
 for _ in $(seq 1 500); do
   size=$(stat -c %s "$WORK/kill.journal" 2>/dev/null || echo 0)
