@@ -7,7 +7,6 @@
 #include "apps/app.h"
 #include "bench_util.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 
 namespace {
@@ -42,7 +41,7 @@ int main() {
       serial_result = c.Run();
     });
     const double parallel_secs = bench::TimeSecs([&] {
-      campaign::ParallelCampaign c(apps::BuildKmeans({}), config, jobs);
+      campaign::Campaign c(apps::BuildKmeans({}), config, jobs);
       parallel_result = c.Run();
     });
     const bool identical =
@@ -65,7 +64,7 @@ int main() {
     config.runs = runs;
     config.seed = 4242;
     config.inject_ranks = std::move(inject_ranks);
-    campaign::ParallelCampaign c(std::move(spec), config, jobs);
+    campaign::Campaign c(std::move(spec), config, jobs);
     rows.push_back({name, c.Run()});
     std::printf("  ... %s done\n", name);
   };

@@ -29,7 +29,6 @@
 #include "apps/app.h"
 #include "bench_util.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "campaign/sampling.h"
 
 namespace chaser {
@@ -69,7 +68,7 @@ AppRow ValidateApp(const char* name, apps::AppSpec spec,
   config.runs = exhaustive_runs;
   config.trace = false;
   config.sample_policy = campaign::SamplePolicy::kWeighted;
-  campaign::ParallelCampaign exhaustive(spec, config, jobs);
+  campaign::Campaign exhaustive(spec, config, jobs);
   exhaustive.RunGolden();
   row.exhaustive_space = 0;
   for (const Rank r : exhaustive.inject_ranks()) {
@@ -96,7 +95,7 @@ AppRow ValidateApp(const char* name, apps::AppSpec spec,
   sampled_config.keep_records = false;
   sampled_config.sample_policy = campaign::SamplePolicy::kWeighted;
   sampled_config.stop_ci = kStopCi;
-  campaign::ParallelCampaign sampled(std::move(spec), sampled_config, jobs);
+  campaign::Campaign sampled(std::move(spec), sampled_config, jobs);
   const campaign::CampaignResult est = sampled.Run();
   row.sampled_trials = est.runs;
   row.stopped_early = est.stopped_early;

@@ -10,7 +10,6 @@
 #include "apps/app.h"
 #include "bench_util.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 
 int main() {
   using namespace chaser;
@@ -28,7 +27,7 @@ int main() {
   // same campaign records the speedup and proves the outputs identical.
   campaign::CampaignResult r, serial;
   const double parallel_secs = bench::TimeSecs([&] {
-    campaign::ParallelCampaign c(apps::BuildMatvec({}), config, jobs);
+    campaign::Campaign c(apps::BuildMatvec({}), config, jobs);
     r = c.Run();
   });
   const double serial_secs = bench::TimeSecs([&] {

@@ -1,6 +1,10 @@
 #include "campaign/campaign.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <filesystem>
 #include <thread>
 
 #include "analysis/spool.h"
@@ -17,6 +21,14 @@
 
 namespace chaser::campaign {
 
+namespace {
+
+std::string TrialSpoolDir(const std::string& spool_dir, std::uint64_t seed) {
+  return spool_dir + "/trial-" + std::to_string(seed);
+}
+
+/// Map a RunRecord onto the obs layer's neutral mirror (obs cannot see
+/// campaign types, so the driver translates at the boundary).
 obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed) {
   obs::TrialStats t;
   t.outcome = static_cast<int>(rec.outcome);
@@ -32,6 +44,8 @@ obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed) {
   t.replayed = replayed;
   return t;
 }
+
+}  // namespace
 
 const char* OutcomeName(Outcome o) {
   switch (o) {
@@ -462,13 +476,12 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
 
   // With a spool directory configured, tee every rank's trace into a
   // per-trial spool named by the run seed — the same seed produces the same
-  // directory (and byte-identical contents) on the serial and parallel
-  // drivers. Detach the sinks on every exit path: the spool dies with this
+  // directory (and byte-identical contents) at any worker count. Detach the sinks on every exit path: the spool dies with this
   // frame and a dangling sink would corrupt the next trial.
   std::unique_ptr<analysis::TraceSpool> spool;
   if (!config_.spool_dir.empty()) {
     spool = std::make_unique<analysis::TraceSpool>(
-        config_.spool_dir + "/trial-" + std::to_string(run_seed));
+        TrialSpoolDir(config_.spool_dir, run_seed));
     for (Rank r = 0; r < spec_.num_ranks; ++r) {
       chaser_->rank_chaser(r).trace_log().set_sink(spool.get());
     }
@@ -630,15 +643,99 @@ RunRecord RunTrialContained(std::unique_ptr<TrialEngine>* engine,
   return rec;
 }
 
-// ---- Campaign (serial driver) ------------------------------------------------
+// ---- Seed-order commit --------------------------------------------------------
 
-Campaign::Campaign(apps::AppSpec spec, CampaignConfig config)
+CommitCursor::CommitCursor(Options options) : options_(std::move(options)) {
+  // The estimator runs whenever a sampling policy or an early stop is
+  // active; a plain uniform campaign bypasses it entirely, keeping its
+  // report/CSV/spool bytes identical to pre-sampling builds.
+  if (options_.sample_policy != SamplePolicy::kUniform ||
+      options_.stop_ci > 0.0) {
+    controller_ = std::make_shared<SampleController>(options_.sample_policy,
+                                                     options_.stop_ci);
+  }
+}
+
+void CommitCursor::Offer(std::uint64_t index, const RunRecord& rec,
+                         bool replayed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_.load()) {
+    DiscardLocked(rec);
+    return;
+  }
+  if (index != next_) {  // an earlier trial is still missing: hold this one
+    pending_.emplace(index, std::make_pair(rec, replayed));
+    return;
+  }
+  const auto discard_pending = [this] {
+    for (const auto& [i, held] : pending_) DiscardLocked(held.first);
+    pending_.clear();
+  };
+  try {
+    CommitLocked(rec, replayed);
+    ++next_;
+    for (auto it = pending_.begin();
+         !closed_.load() && it != pending_.end() && it->first == next_;
+         it = pending_.erase(it), ++next_) {
+      CommitLocked(it->second.first, it->second.second);
+    }
+  } catch (...) {
+    closed_.store(true);  // a failed commit ends the campaign here
+    discard_pending();
+    throw;
+  }
+  if (closed_.load()) discard_pending();
+}
+
+void CommitCursor::CommitLocked(const RunRecord& rec, bool replayed) {
+  if (!replayed && options_.journal != nullptr) options_.journal->Append(rec);
+  result_.Accumulate(rec, options_.keep_records);
+  if (options_.sink) options_.sink(rec);
+  if (options_.telemetry != nullptr) {
+    options_.telemetry->OnTrialDone(ToTrialStats(rec, replayed));
+  }
+  // Replayed trials feed the estimator exactly like executed ones, so a
+  // resumed campaign stops at the same seed-order prefix — that is what
+  // makes --stop-ci journal/resume-safe.
+  if (controller_ != nullptr &&
+      controller_->Commit(static_cast<int>(rec.outcome), rec.deadlock,
+                          rec.sample_weight) &&
+      controller_->stop_enabled()) {
+    closed_.store(true);
+  }
+}
+
+void CommitCursor::DiscardLocked(const RunRecord& rec) const {
+  if (options_.spool_dir.empty()) return;
+  std::error_code ec;  // best effort: a missing dir is the common case
+  std::filesystem::remove_all(TrialSpoolDir(options_.spool_dir, rec.run_seed),
+                              ec);
+}
+
+CampaignResult CommitCursor::Finish() {
+  CampaignResult result = std::move(result_);
+  result.runs = next_;
+  if (controller_ != nullptr) {
+    result.stopped_early = controller_->converged() && next_ < options_.planned;
+    result.FillEstimates(controller_->estimator(), options_.sample_policy,
+                         options_.stop_ci, options_.planned);
+  }
+  return result;
+}
+
+// ---- Campaign ----------------------------------------------------------------
+
+Campaign::Campaign(apps::AppSpec spec, CampaignConfig config, unsigned jobs)
     : spec_(std::move(spec)),
       config_(std::move(config)),
       inject_ranks_(config_.inject_ranks.empty() ? std::set<Rank>{0}
-                                                 : config_.inject_ranks) {
+                                                 : config_.inject_ranks),
+      jobs_(jobs) {
+  if (jobs_ == 0) jobs_ = std::max(1u, std::thread::hardware_concurrency());
   // Resolve the shared translation cache before any engine exists: engines
-  // copy the pointer into their cluster's Vm::Config at construction.
+  // copy the pointer into their cluster's Vm::Config at construction, so
+  // every worker reads/writes one cache. Its read path is lock-free and its
+  // insert path re-checks for racing winners (`ctest -L tsan`).
   if (config_.shared_tb_cache == nullptr) {
     owned_tb_cache_ = std::make_unique<tcg::SharedTbCache>(config_.tb_cache_cap);
     config_.shared_tb_cache = owned_tb_cache_.get();
@@ -686,107 +783,125 @@ std::vector<std::uint64_t> Campaign::DeriveTrialSeeds(std::uint64_t seed,
 
 CampaignResult Campaign::Run() {
   obs::Telemetry* const telemetry = config_.telemetry;
-  const bool sharded = config_.shard_count > 1;
-  // A shard worker cannot evaluate the early-stop rule: the stop prefix is
-  // defined in *global* seed order, which one shard never observes. The
-  // merge step (MergeShardRecords) re-applies it over the combined records.
-  const double stop_ci = sharded ? 0.0 : config_.stop_ci;
-  // The estimator runs whenever a sampling policy or an early stop is
-  // active; a plain uniform campaign bypasses it entirely, keeping its
-  // report/CSV/spool bytes identical to pre-sampling builds.
-  const bool sampling_active =
-      config_.sample_policy != SamplePolicy::kUniform || stop_ci > 0.0;
-  // Shared (not stack-owned) so the telemetry status channel can keep
-  // polling estimates at Finish(), after this frame returned the result.
-  std::shared_ptr<SampleController> controller;
-  if (sampling_active) {
-    controller = std::make_shared<SampleController>(config_.sample_policy,
-                                                    stop_ci);
-  }
+  if (!golden_done_) RunGolden();
   // This worker's slice of the trial space: global indices i with
   // i % shard_count == shard_index (the identity mapping when unsharded).
+  // Everything below runs over slice positions 0..indices.size()-1.
   const std::vector<std::uint64_t> indices = ShardTrialIndices(
       config_.runs, ShardSpec{config_.shard_index, config_.shard_count});
+  const std::vector<std::uint64_t> all_seeds =
+      DeriveTrialSeeds(config_.seed, config_.runs);
+  const auto seed_at = [&](std::uint64_t p) {
+    return all_seeds[static_cast<std::size_t>(indices[p])];
+  };
+
+  // With a journal, trials completed by an earlier (possibly killed) process
+  // are replayed instead of re-run, and the cursor appends every trial it
+  // commits so the *next* resume sees it. Records are keyed by run_seed, so
+  // the journal's append order never affects the seed-order commit.
+  std::unique_ptr<TrialJournal> journal;
+  std::map<std::uint64_t, RunRecord> done;
+  if (!config_.journal_path.empty()) {
+    std::vector<RunRecord> replayed;
+    journal = std::make_unique<TrialJournal>(
+        config_.journal_path, config_.seed, spec_.name, &replayed,
+        config_.shard_index, config_.shard_count);
+    for (RunRecord& rec : replayed) done[rec.run_seed] = std::move(rec);
+  }
+
+  // A shard worker cannot evaluate the early-stop rule: the stop prefix is
+  // defined in *global* seed order, which one shard never observes. The
+  // merge step re-applies it over the combined records.
+  CommitCursor cursor({.planned = config_.runs,
+                       .sample_policy = config_.sample_policy,
+                       .stop_ci = config_.shard_count > 1 ? 0.0
+                                                          : config_.stop_ci,
+                       .keep_records = config_.keep_records,
+                       .sink = config_.record_sink,
+                       .journal = journal.get(),
+                       .telemetry = telemetry,
+                       .spool_dir = config_.spool_dir});
   if (telemetry != nullptr) {
-    if (controller != nullptr) {
+    // The status channel keeps polling estimates at Finish(), after this
+    // frame returned — hence the shared controller.
+    if (const auto controller = cursor.controller()) {
       telemetry->SetEstimatesSource(
           [controller] { return controller->Snapshot(); });
     }
     telemetry->BeginCampaign(spec_.name, indices.size());
     telemetry->AttachThread("main");
   }
-  if (!golden_done_) RunGolden();
-  const std::vector<std::uint64_t> seeds =
-      DeriveTrialSeeds(config_.seed, config_.runs);
+  // Commit the replayed trials before any worker starts: a resumed campaign
+  // that already converged stops here, running zero new trials.
+  std::vector<std::uint64_t> pending;  // positions still to execute
+  pending.reserve(indices.size());
+  for (std::uint64_t p = 0; p < indices.size(); ++p) {
+    const auto it = done.find(seed_at(p));
+    if (it == done.end()) {
+      pending.push_back(p);
+    } else {
+      cursor.Offer(p, it->second, /*replayed=*/true);
+    }
+  }
+  done.clear();
 
-  // With a journal, trials completed by an earlier (possibly killed) process
-  // are replayed instead of re-run; everything executed here is appended so
-  // the *next* resume sees it. Records are keyed by run_seed, so replay
-  // order (journal append order) never affects the seed-ordered reduction.
-  std::unique_ptr<TrialJournal> journal;
-  std::map<std::uint64_t, RunRecord> done;
-  if (!config_.journal_path.empty()) {
-    std::vector<RunRecord> replayed;
-    journal = std::make_unique<TrialJournal>(config_.journal_path, config_.seed,
-                                             spec_.name, &replayed,
-                                             config_.shard_index,
-                                             config_.shard_count);
-    for (RunRecord& rec : replayed) done[rec.run_seed] = std::move(rec);
-  }
+  // Workers claim pending positions in ascending order from one counter, so
+  // once the cursor closes every later claim is past the stop too.
+  std::atomic<std::uint64_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto fail = [&] {  // keep the first failure; every worker stops
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!error) error = std::current_exception();
+    next.store(pending.size());
+  };
+  const auto work = [&](std::unique_ptr<TrialEngine>* engine) {
+    try {
+      for (std::uint64_t c = next.fetch_add(1); c < pending.size();
+           c = next.fetch_add(1)) {
+        if (cursor.closed()) break;
+        const std::uint64_t p = pending[static_cast<std::size_t>(c)];
+        const std::uint64_t t0_ns =
+            telemetry != nullptr ? obs::MonotonicNanos() : 0;
+        // Containment boundary: a throwing trial retries on a rebuilt engine
+        // and quarantines as kInfra — it cannot take down the campaign.
+        const RunRecord rec = RunTrialContained(
+            engine, spec_, config_, inject_ranks_, golden_, seed_at(p));
+        if (telemetry != nullptr) {
+          telemetry->OnTrialExecuted(ToTrialStats(rec, /*replayed=*/false),
+                                     t0_ns, obs::MonotonicNanos());
+        }
+        cursor.Offer(p, rec);
+      }
+    } catch (...) {
+      // Only failures outside trial containment land here (the journal
+      // device filling up, a throwing sink) — they end the campaign.
+      fail();
+    }
+  };
 
-  CampaignResult result;
-  result.runs = config_.runs;
-  std::uint64_t committed = 0;
-  for (const std::uint64_t index : indices) {
-    const std::uint64_t run_seed = seeds[index];
-    const auto it = done.find(run_seed);
-    if (it != done.end()) {
-      result.Accumulate(it->second, config_.keep_records);
-      if (config_.record_sink) config_.record_sink(it->second);
-      ++committed;
-      if (telemetry != nullptr) {
-        telemetry->OnTrialDone(ToTrialStats(it->second, /*replayed=*/true), 0, 0);
-      }
-      // Replayed trials feed the estimator exactly like executed ones, so a
-      // resumed campaign stops at the same seed-order prefix — that is what
-      // makes --stop-ci journal/resume-safe.
-      if (controller != nullptr &&
-          controller->Commit(static_cast<int>(it->second.outcome),
-                             it->second.deadlock, it->second.sample_weight) &&
-          controller->stop_enabled()) {
-        break;
-      }
-      continue;
+  const std::uint64_t n_workers = std::min<std::uint64_t>(
+      jobs_, std::max<std::uint64_t>(1, pending.size()));
+  std::vector<std::thread> threads;
+  try {
+    for (std::uint64_t w = 1; w < n_workers; ++w) {
+      threads.emplace_back([&, w] {
+        if (telemetry != nullptr) {
+          telemetry->AttachThread("worker-" + std::to_string(w));
+        }
+        std::unique_ptr<TrialEngine> engine;
+        work(&engine);
+        if (telemetry != nullptr) telemetry->DetachThread();
+      });
     }
-    const std::uint64_t t0_ns =
-        telemetry != nullptr ? obs::MonotonicNanos() : 0;
-    const RunRecord rec = RunTrialContained(&engine_, spec_, config_,
-                                            inject_ranks_, golden_, run_seed);
-    if (journal != nullptr) journal->Append(rec);
-    result.Accumulate(rec, config_.keep_records);
-    if (config_.record_sink) config_.record_sink(rec);
-    ++committed;
-    if (telemetry != nullptr) {
-      telemetry->OnTrialDone(ToTrialStats(rec, /*replayed=*/false), t0_ns,
-                             obs::MonotonicNanos());
-    }
-    if (controller != nullptr &&
-        controller->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                           rec.sample_weight) &&
-        controller->stop_enabled()) {
-      break;
-    }
+  } catch (...) {
+    fail();  // the threads already started must still be joined below
   }
-  if (controller != nullptr) {
-    result.runs = committed;
-    result.stopped_early = controller->converged() && committed < config_.runs;
-    result.FillEstimates(controller->estimator(), config_.sample_policy,
-                         stop_ci, config_.runs);
-  } else if (sharded) {
-    result.runs = committed;  // this worker's slice, not the global plan
-  }
+  work(&engine_);
+  for (std::thread& t : threads) t.join();
   if (telemetry != nullptr) telemetry->DetachThread();
-  return result;
+  if (error) std::rethrow_exception(error);
+  return cursor.Finish();
 }
 
 }  // namespace chaser::campaign

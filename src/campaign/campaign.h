@@ -20,14 +20,21 @@
 //   golden phase   runs once, produces an immutable GoldenProfile that every
 //                  subsequent trial only reads;
 //   trial phase    each trial mutates a Cluster + ChaserMpi + TaintHub. That
-//                  mutable state is encapsulated in a TrialEngine so the
-//                  serial Campaign owns one engine while ParallelCampaign
-//                  (campaign/parallel.h) gives each worker thread its own.
+//                  mutable state is encapsulated in a TrialEngine: the
+//                  Campaign's calling thread runs trials on the campaign's
+//                  own engine, and each extra `jobs` worker thread on its own.
+//
+// However the trials are executed — inline, across a worker pool, on shard
+// workers merged afterwards — their records reach the result through one
+// CommitCursor in campaign seed order, so the report, records, journal,
+// sink stream and early-stop point never depend on the worker count.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -45,10 +52,11 @@
 
 namespace chaser::obs {
 class Telemetry;
-struct TrialStats;
 }
 
 namespace chaser::campaign {
+
+class TrialJournal;
 
 /// kInfra is not a fault-injection outcome at all: it marks a trial whose
 /// *harness* failed (an exception escaped the engine) even after the retry
@@ -91,7 +99,7 @@ struct RunRecord {
   std::uint64_t run_seed = 0;      // reproduce this exact trial
   std::uint64_t instructions = 0;  // total guest instructions this trial
   /// Hot-path counters summed over ranks (deterministic per run_seed and
-  /// invariant across serial/parallel drivers, shared translation caches
+  /// invariant across worker counts, shared translation caches
   /// and checkpoint restores — which is why they may live in the
   /// identity-checked record).
   std::uint64_t tb_chain_hits = 0;
@@ -114,11 +122,6 @@ struct RunRecord {
   std::string injector;
   std::string fault_class;
 };
-
-/// Map a RunRecord onto the obs layer's neutral mirror (obs cannot see
-/// campaign types, so the drivers translate at the boundary). Used by both
-/// the serial and parallel drivers so their telemetry cannot diverge.
-obs::TrialStats ToTrialStats(const RunRecord& rec, bool replayed);
 
 struct CampaignConfig {
   std::uint64_t runs = 1000;
@@ -157,8 +160,8 @@ struct CampaignConfig {
   /// Early stop: halt once every outcome-rate Wilson interval (95%) is
   /// narrower than this full width, never before SampleController::
   /// kMinStopTrials trials. 0 = run all `runs` trials. Works with any
-  /// policy and both drivers; the stop point is a deterministic function of
-  /// the seed-ordered trial prefix, so it is journal/resume-safe.
+  /// policy and any worker count; the stop point is a deterministic function
+  /// of the seed-ordered trial prefix, so it is journal/resume-safe.
   double stop_ci = 0.0;
   /// Degradation model installed into every trial's TaintHub (outages,
   /// publish drops, visibility lag, poll-retry deadline).
@@ -194,9 +197,11 @@ struct CampaignConfig {
   /// Called once per committed trial, in campaign seed order, right after
   /// the record enters the result — journal-replayed records included, which
   /// is what makes a resumed sink stream identical to an uninterrupted one.
-  /// Both drivers invoke it from single-threaded code (the serial loop / the
-  /// parallel ordered reduction). The streaming hook the CTR trial store
-  /// hangs off; an exception thrown from it ends the campaign.
+  /// The CommitCursor calls it as the seed-order prefix grows, while later
+  /// trials still run: on the calling thread at jobs 1, on whichever worker
+  /// completed the prefix otherwise, never on two threads at once. The
+  /// streaming hook the CTR trial store hangs off; an exception thrown from
+  /// it ends the campaign, and no later trial is sunk or journaled.
   std::function<void(const RunRecord&)> record_sink;
   /// Borrowed observability facade (obs/telemetry.h); must outlive the
   /// campaign. Null = telemetry off — instrumentation sites degrade to a
@@ -206,7 +211,7 @@ struct CampaignConfig {
 
   // ---- Translation cache ---------------------------------------------------
   /// Cross-trial translation cache shared by every VM the campaign creates.
-  /// Null = Campaign / ParallelCampaign own one; set it to share translations
+  /// Null = the Campaign owns one; set it to share translations
   /// among several campaigns over the same app (it must outlive them). A
   /// TrialEngine built directly with null gives each VM private TBs.
   tcg::SharedTbCache* shared_tb_cache = nullptr;
@@ -269,12 +274,11 @@ struct CampaignResult {
   WilsonInterval est_hang;       // deadlock subset of terminated
 
   /// Tally one trial into the counters (and into `records` if
-  /// `keep_record`). The serial and parallel drivers reduce through this
-  /// same function, so their outcome bookkeeping cannot diverge.
+  /// `keep_record`). The CommitCursor calls it in seed order.
   void Accumulate(const RunRecord& rec, bool keep_record);
 
-  /// Fill the estimates block from a finished estimator (both drivers feed
-  /// their estimator in seed order, so the floats agree bit for bit).
+  /// Fill the estimates block from a finished estimator (fed in seed order
+  /// by the CommitCursor, so the floats agree bit for bit on every path).
   void FillEstimates(const OutcomeEstimator& est, SamplePolicy policy,
                      double stop_ci_width, std::uint64_t planned);
 
@@ -309,7 +313,7 @@ struct GoldenProfile {
 /// One trial-execution engine: a private Cluster + ChaserMpi (and therefore
 /// TaintHub) that runs injection trials against a shared GoldenProfile.
 /// Engines own all per-trial mutable state — two engines never share
-/// anything writable, which is what makes the parallel driver race-free.
+/// anything writable, which is what makes a worker pool race-free.
 class TrialEngine {
  public:
   /// `spec`, `config` and `inject_ranks` are borrowed and must stay alive
@@ -366,8 +370,8 @@ class TrialEngine {
   std::unique_ptr<CheckpointLadder> ladder_;
 };
 
-/// Containment boundary shared by the serial and parallel drivers: run one
-/// trial, catching anything the engine throws. A throwing attempt discards
+/// Containment boundary every campaign worker runs its trials through: run
+/// one trial, catching anything the engine throws. A throwing attempt discards
 /// `*engine` (its Cluster/TaintHub may be in an arbitrary state) and retries
 /// with a freshly built engine after exponential backoff, up to
 /// config.trial_retries extra attempts. Exhausting the budget quarantines
@@ -381,9 +385,80 @@ RunRecord RunTrialContained(std::unique_ptr<TrialEngine>* engine,
                             const GoldenProfile& golden,
                             std::uint64_t run_seed);
 
+/// The one seed-order commit behind every campaign result: the Campaign
+/// driver at any worker count (shard workers included) and both shard merges
+/// (campaign/fleet.h) reduce through it. Records arrive as (position,
+/// record) pairs in any order — as workers finish trials, as journal replay
+/// or a merge supplies them — and the cursor holds only those that are
+/// complete but not yet committable. Each time the seed-order prefix grows
+/// it commits the next record: journal append (executed trials only),
+/// CampaignResult::Accumulate, the sink, committed-trial telemetry, the
+/// SampleController — and latches the stop once the estimate converges.
+/// From then on (or once a journal append or sink call throws) the cursor
+/// is closed: whatever is offered is discarded, its spool directory removed,
+/// so nothing past the stop reaches the result, sink, journal or spool.
+/// Thread-safe: offers serialize on one mutex, so the sink and the journal
+/// are never called from two threads at once.
+class CommitCursor {
+ public:
+  struct Options {
+    /// The campaign's planned trial count — the denominator of the sampling
+    /// report line and of the stopped-early verdict.
+    std::uint64_t planned = 0;
+    SamplePolicy sample_policy = SamplePolicy::kUniform;
+    double stop_ci = 0.0;  // 0 = never stop early
+    bool keep_records = true;
+    std::function<void(const RunRecord&)> sink;
+    TrialJournal* journal = nullptr;       // borrowed; may be null
+    obs::Telemetry* telemetry = nullptr;   // borrowed; may be null
+    std::string spool_dir;                 // where discarded trials spooled
+  };
+
+  explicit CommitCursor(Options options);
+
+  /// Hand over position `index`'s record (`replayed`: it came from the
+  /// resume journal, so it is not appended again) and commit the prefix it
+  /// completes. Rethrows what a journal append or the sink throws. Each
+  /// position must be offered at most once.
+  void Offer(std::uint64_t index, const RunRecord& rec, bool replayed = false);
+
+  /// True once nothing more can commit: the stop latched or a commit threw.
+  /// Every position not yet committed is then past the stop.
+  bool closed() const { return closed_.load(); }
+
+  /// The estimator state, for a live status channel (null on a plain
+  /// uniform campaign, which keeps no estimator).
+  std::shared_ptr<const SampleController> controller() const {
+    return controller_;
+  }
+
+  /// The committed result; call once, after the last Offer.
+  CampaignResult Finish();
+
+ private:
+  void CommitLocked(const RunRecord& rec, bool replayed);
+  void DiscardLocked(const RunRecord& rec) const;
+
+  Options options_;
+  std::shared_ptr<SampleController> controller_;
+  std::mutex mutex_;
+  std::uint64_t next_ = 0;  // the next position to commit
+  std::map<std::uint64_t, std::pair<RunRecord, bool>> pending_;
+  std::atomic<bool> closed_{false};
+  CampaignResult result_;
+};
+
+/// The campaign driver: one golden run, then config.runs independent
+/// seeded trials reduced through a CommitCursor.
 class Campaign {
  public:
-  Campaign(apps::AppSpec spec, CampaignConfig config);
+  /// `jobs` trial workers: the calling thread runs trials on the campaign's
+  /// own engine, and `jobs - 1` extra threads each on a private one, all
+  /// claiming trials from one counter. `jobs == 1` starts no thread (so
+  /// cluster()/chaser() show the last trial, even from inside the sink);
+  /// `jobs == 0` picks one worker per hardware thread. The result is
+  /// bit-identical at every worker count.
+  Campaign(apps::AppSpec spec, CampaignConfig config, unsigned jobs = 1);
 
   /// Execute the golden run (throws ConfigError if the clean app fails) and
   /// profile targeted-instruction execution counts per inject rank.
@@ -393,21 +468,21 @@ class Campaign {
   /// it lazily). `run_seed` fully determines the trial.
   RunRecord RunOnce(std::uint64_t run_seed);
 
-  /// Full campaign: golden + config.runs trials. Trial failures are
-  /// contained per RunTrialContained. With config.journal_path set, every
-  /// completed trial is journalled and trials already in the journal are
-  /// replayed instead of re-run — the resumed result is byte-identical to
-  /// an uninterrupted one.
+  /// Full campaign: golden + config.runs trials across the workers. Trial
+  /// failures are contained per RunTrialContained. With config.journal_path
+  /// set, every committed trial is journalled (in seed order) and trials
+  /// already in the journal are replayed instead of re-run — the resumed
+  /// result is byte-identical to an uninterrupted one.
   CampaignResult Run();
 
-  /// The first `n` trial seeds a fresh serial Run() draws for campaign seed
-  /// `seed` (the n successive Fork()s of Rng(seed)). ParallelCampaign
-  /// dispatches exactly this sequence, which is what makes its result
-  /// bit-identical to the serial path for any worker count.
+  /// The first `n` trial seeds for campaign seed `seed` (the n successive
+  /// Fork()s of Rng(seed)); trial position i always runs seed i, whichever
+  /// worker claims it.
   static std::vector<std::uint64_t> DeriveTrialSeeds(std::uint64_t seed,
                                                      std::uint64_t n);
 
   // ---- Introspection -------------------------------------------------------
+  unsigned jobs() const { return jobs_; }
   bool golden_done() const { return golden_done_; }
   const GoldenProfile& golden() const { return golden_; }
   /// Golden output of (r, fd); throws ConfigError naming the rank/fd if the
@@ -435,6 +510,7 @@ class Campaign {
   /// Owned via pointer so containment can rebuild it after a trial throws
   /// (a half-destroyed Cluster must never serve another trial).
   std::unique_ptr<TrialEngine> engine_;  // borrows spec_/config_/inject_ranks_
+  unsigned jobs_ = 1;
 
   GoldenProfile golden_;
   bool golden_done_ = false;

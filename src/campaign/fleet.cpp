@@ -38,6 +38,22 @@ std::vector<std::uint64_t> ShardTrialIndices(std::uint64_t runs,
   return indices;
 }
 
+namespace {
+
+// The merge's commit: the same CommitCursor a Campaign reduces through, so
+// the merged result is bit-identical to one process running the plan. The
+// records carry every field Accumulate and the estimator read.
+CommitCursor MergeCursor(const MergePlan& plan,
+                         std::function<void(const RunRecord&)> sink) {
+  return CommitCursor({.planned = plan.runs,
+                       .sample_policy = plan.sample_policy,
+                       .stop_ci = plan.stop_ci,
+                       .keep_records = plan.keep_records,
+                       .sink = std::move(sink)});
+}
+
+}  // namespace
+
 CampaignResult MergeShardRecords(const MergePlan& plan,
                                  const std::vector<RunRecord>& shard_records) {
   std::map<std::uint64_t, const RunRecord*> by_seed;
@@ -50,52 +66,22 @@ CampaignResult MergeShardRecords(const MergePlan& plan,
           static_cast<unsigned long long>(rec.run_seed)));
     }
   }
-
-  // Replay the serial driver's reduction loop exactly: walk the global seed
-  // order, Accumulate, feed the stop controller, and stop where it would
-  // have stopped. The records carry every field Accumulate and the
-  // estimator read, so the merged result is bit-identical to a single
-  // process running the same plan.
-  const bool sampling_active =
-      plan.sample_policy != SamplePolicy::kUniform || plan.stop_ci > 0.0;
-  std::unique_ptr<SampleController> controller;
-  if (sampling_active) {
-    controller = std::make_unique<SampleController>(plan.sample_policy,
-                                                    plan.stop_ci);
-  }
   const std::vector<std::uint64_t> seeds =
       Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
-
-  CampaignResult result;
-  result.runs = plan.runs;
-  std::uint64_t committed = 0;
-  for (const std::uint64_t run_seed : seeds) {
-    const auto it = by_seed.find(run_seed);
+  CommitCursor cursor = MergeCursor(plan, nullptr);
+  for (std::uint64_t t = 0; t < plan.runs && !cursor.closed(); ++t) {
+    const auto it = by_seed.find(seeds[static_cast<std::size_t>(t)]);
     if (it == by_seed.end()) {
       throw ConfigError(StrFormat(
           "MergeShardRecords: no shard provided trial seed %llu (trial %llu "
           "of %llu) — a shard's records are incomplete or missing",
-          static_cast<unsigned long long>(run_seed),
-          static_cast<unsigned long long>(committed + 1),
+          static_cast<unsigned long long>(seeds[static_cast<std::size_t>(t)]),
+          static_cast<unsigned long long>(t + 1),
           static_cast<unsigned long long>(plan.runs)));
     }
-    const RunRecord& rec = *it->second;
-    result.Accumulate(rec, plan.keep_records);
-    ++committed;
-    if (controller != nullptr &&
-        controller->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                           rec.sample_weight) &&
-        controller->stop_enabled()) {
-      break;
-    }
+    cursor.Offer(t, *it->second);
   }
-  if (controller != nullptr) {
-    result.runs = committed;
-    result.stopped_early = controller->converged() && committed < plan.runs;
-    result.FillEstimates(controller->estimator(), plan.sample_policy,
-                         plan.stop_ci, plan.runs);
-  }
-  return result;
+  return cursor.Finish();
 }
 
 CampaignResult MergeShardStreams(
@@ -105,25 +91,14 @@ CampaignResult MergeShardStreams(
     throw ConfigError("MergeShardStreams: no shard streams");
   }
   const std::uint64_t n_shards = streams.size();
-  const bool sampling_active =
-      plan.sample_policy != SamplePolicy::kUniform || plan.stop_ci > 0.0;
-  std::unique_ptr<SampleController> controller;
-  if (sampling_active) {
-    controller = std::make_unique<SampleController>(plan.sample_policy,
-                                                    plan.stop_ci);
-  }
   const std::vector<std::uint64_t> seeds =
       Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
-
-  // Same reduction loop as MergeShardRecords, but global trial t's record is
-  // the next unread record of stream t % N instead of a map lookup — the
+  // Global trial t's record is the next unread record of stream t % N — the
   // shard partition *is* the round-robin, so pulling in lockstep walks the
   // global seed order with one in-flight record per shard.
-  CampaignResult result;
-  result.runs = plan.runs;
-  std::uint64_t committed = 0;
+  CommitCursor cursor = MergeCursor(plan, sink);
   RunRecord rec;
-  for (std::uint64_t t = 0; t < plan.runs; ++t) {
+  for (std::uint64_t t = 0; t < plan.runs && !cursor.closed(); ++t) {
     ShardRecordStream& stream = streams[static_cast<std::size_t>(t % n_shards)];
     if (!stream(&rec)) {
       throw ConfigError(StrFormat(
@@ -144,23 +119,9 @@ CampaignResult MergeShardStreams(
           static_cast<unsigned long long>(t + 1),
           static_cast<unsigned long long>(plan.runs)));
     }
-    result.Accumulate(rec, plan.keep_records);
-    if (sink) sink(rec);
-    ++committed;
-    if (controller != nullptr &&
-        controller->Commit(static_cast<int>(rec.outcome), rec.deadlock,
-                           rec.sample_weight) &&
-        controller->stop_enabled()) {
-      break;
-    }
+    cursor.Offer(t, rec);
   }
-  if (controller != nullptr) {
-    result.runs = committed;
-    result.stopped_early = controller->converged() && committed < plan.runs;
-    result.FillEstimates(controller->estimator(), plan.sample_policy,
-                         plan.stop_ci, plan.runs);
-  }
-  return result;
+  return cursor.Finish();
 }
 
 namespace {

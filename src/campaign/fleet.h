@@ -5,11 +5,11 @@
 // index % N == i, in seed order. Because every worker derives the identical
 // seed sequence (Campaign::DeriveTrialSeeds) and trials are pure functions
 // of their run_seed, the partition is deterministic, disjoint, and complete
-// — and merging the per-shard records in global seed order through the same
-// CampaignResult::Accumulate / SampleController path the serial driver uses
-// reproduces the unsharded report byte for byte, early stop included (the
-// stop prefix is re-evaluated here, in global order, which is why shard
-// workers themselves never stop early).
+// — and feeding the per-shard records in global seed order to the same
+// CommitCursor every Campaign commits through reproduces the unsharded
+// report byte for byte, early stop included (the stop prefix is re-evaluated
+// here, in global order, which is why shard workers themselves never stop
+// early).
 #pragma once
 
 #include <cstdint>

@@ -318,7 +318,6 @@ void TrialJournal::Append(const RunRecord& rec) {
   static obs::Counter& appends =
       obs::Registry::Global().GetCounter("journal_appends_total");
   const obs::ScopedPhase obs_scope(obs::Phase::kJournalFsync);
-  std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {
     throw ConfigError("TrialJournal: append to closed journal '" + path_ + "'");
   }

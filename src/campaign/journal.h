@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,9 +79,10 @@ inline constexpr std::uint64_t kJournalVersion = 5;
 std::string EncodeJournalRecord(const RunRecord& rec,
                                 std::uint64_t version = kJournalVersion);
 
-/// Append-side handle. Thread-safe: ParallelCampaign workers share one
-/// journal and append completed trials as they finish (order is irrelevant —
-/// resume keys records by run_seed).
+/// Append-side handle, single-writer: a campaign's CommitCursor appends each
+/// trial as it commits, in seed order, under the cursor's lock — so a
+/// `--jobs N` journal equals the serial one byte for byte. Replay keys
+/// records by run_seed, so a journal written in any order resumes the same.
 class TrialJournal {
  public:
   /// Open `path` for appending, creating it (with a header naming this
@@ -112,7 +112,6 @@ class TrialJournal {
  private:
   std::string path_;
   std::FILE* file_ = nullptr;
-  std::mutex mutex_;
   std::uint64_t appended_ = 0;
   std::uint64_t version_ = kJournalVersion;
 };

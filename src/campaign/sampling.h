@@ -149,9 +149,8 @@ class OutcomeEstimator {
   std::uint64_t n_ = 0;
 };
 
-/// Driver-side stop-rule glue shared by the serial and parallel campaigns:
-/// committed trials stream in (seed order — the parallel driver commits
-/// through a reorder buffer), the estimator updates, and the first commit
+/// Stop-rule glue inside the CommitCursor (campaign.h): committed trials
+/// stream in, in seed order, the estimator updates, and the first commit
 /// whose estimate has converged latches the stop. Snapshot() is safe to call
 /// from the telemetry status thread while workers commit.
 class SampleController {

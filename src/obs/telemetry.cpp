@@ -113,8 +113,24 @@ void Telemetry::DetachThread() {
   // valid); only the thread-local arming is dropped.
 }
 
-void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
-                            std::uint64_t t1_ns) {
+void Telemetry::OnTrialExecuted(const TrialStats& t, std::uint64_t t0_ns,
+                                std::uint64_t t1_ns) {
+  static Histogram& trial_ns =
+      Registry::Global().GetHistogram("phase_trial_ns", LatencyBoundsNs());
+  trial_ns.Observe(t1_ns - t0_ns);
+  if (trace_ != nullptr) {
+    PhaseProfiler* prof = ThreadProfiler();
+    // Flush first so the trial's phase spans precede their enclosing trial
+    // span only by buffer order, not by a whole campaign.
+    if (prof != nullptr) prof->Flush();
+    const std::uint32_t tid = prof != nullptr ? prof->tid() : 0;
+    trace_->AddSpan(tid, PhaseName(Phase::kTrial), t0_ns, t1_ns,
+                    {{"run_seed", std::to_string(t.run_seed)},
+                     {"outcome", TrialOutcomeName(t.outcome)}});
+  }
+}
+
+void Telemetry::OnTrialDone(const TrialStats& t) {
   Registry& reg = Registry::Global();
   // Handles resolve once per process — registration is mutexed, Inc is not.
   static Counter& trials = reg.GetCounter("campaign_trials_total");
@@ -141,7 +157,7 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
   if (t.outcome >= 0 && t.outcome < 4) outcomes[t.outcome]->Inc();
   if (t.replayed) {
     replayed.Inc();
-    return;  // not executed here: no span, no hot-path counter traffic
+    return;  // not executed here: no hot-path counter traffic
   }
   instructions.Inc(t.instructions);
   injections.Inc(t.injections);
@@ -151,20 +167,6 @@ void Telemetry::OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
   tlb_hits.Inc(t.tlb_hits);
   tlb_misses.Inc(t.tlb_misses);
   retries.Inc(t.retries);
-
-  static Histogram& trial_ns =
-      reg.GetHistogram("phase_trial_ns", LatencyBoundsNs());
-  trial_ns.Observe(t1_ns - t0_ns);
-  if (trace_ != nullptr) {
-    PhaseProfiler* prof = ThreadProfiler();
-    // Flush first so the trial's phase spans precede their enclosing trial
-    // span only by buffer order, not by a whole campaign.
-    if (prof != nullptr) prof->Flush();
-    const std::uint32_t tid = prof != nullptr ? prof->tid() : 0;
-    trace_->AddSpan(tid, PhaseName(Phase::kTrial), t0_ns, t1_ns,
-                    {{"run_seed", std::to_string(t.run_seed)},
-                     {"outcome", TrialOutcomeName(t.outcome)}});
-  }
 }
 
 void Telemetry::Finish() {

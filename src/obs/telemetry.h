@@ -10,8 +10,11 @@
 //   AttachThread / DetachThread   around each worker's (and the main
 //                                 thread's) campaign work — this is what
 //                                 arms ScopedPhase on that thread;
-//   OnTrialDone                   once per completed trial, with a neutral
-//                                 TrialStats mirror of the RunRecord.
+//   OnTrialExecuted               once per executed trial, on the worker
+//                                 thread that ran it (latency, trace span);
+//   OnTrialDone                   once per committed trial, in seed order,
+//                                 with a neutral TrialStats mirror of the
+//                                 RunRecord (counters, status channel).
 //
 // The owner calls Finish() once the campaign is over: final status.json
 // (running=false), the Chrome trace file, and metrics.json all land then,
@@ -107,13 +110,18 @@ class Telemetry {
   /// Flush and drop the calling thread's profiler (no-op when detached).
   void DetachThread();
 
-  /// Account one completed trial: registry counters, status channel, and —
-  /// when tracing — a "trial" span on the calling thread covering
-  /// [t0_ns, t1_ns] with run_seed/outcome args. Replayed trials update the
-  /// status channel only (they did not execute here, so no span and no
-  /// per-trial registry traffic beyond the replay counter).
-  void OnTrialDone(const TrialStats& t, std::uint64_t t0_ns,
-                   std::uint64_t t1_ns);
+  /// Account one executed trial on the thread that ran it: the trial
+  /// latency histogram and — when tracing — a "trial" span covering
+  /// [t0_ns, t1_ns] with run_seed/outcome args. Trials executed past an
+  /// early stop get this and nothing else.
+  void OnTrialExecuted(const TrialStats& t, std::uint64_t t0_ns,
+                       std::uint64_t t1_ns);
+
+  /// Account one committed trial: registry counters and the status channel,
+  /// so both agree with the report. Replayed trials count towards the
+  /// totals and the replay counter only (they did not execute here, so no
+  /// per-trial hot-path traffic).
+  void OnTrialDone(const TrialStats& t);
 
   /// Hub-handshake clock correction for the trace anchor (see
   /// ProbeHubClock / TraceJsonWriter::SetClockOffsetUs). No-op when

@@ -139,8 +139,8 @@ struct CtrWriterOptions {
 
 /// Streaming writer. Feed it every RunRecord in campaign seed order (the
 /// drivers' record_sink does exactly that); call Finish() to seal. Not
-/// thread-safe — records arrive from the single-threaded ordered reduction
-/// in both drivers.
+/// thread-safe — the campaign's commit cursor never calls its record_sink
+/// from two threads at once.
 class CtrStoreWriter {
  public:
   /// Creates `dir` (and parents). Throws ConfigError on identity mismatch

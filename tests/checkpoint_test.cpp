@@ -22,7 +22,6 @@
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
 #include "campaign/journal.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "hub/remote/server.h"
 #include "obs/metrics.h"
@@ -220,7 +219,7 @@ TEST(CheckpointDrivers, SerialParallelShardedAndResumedMatchTheOracle) {
   }
   {
     SCOPED_TRACE("parallel --jobs 4");
-    ParallelCampaign parallel(spec, config, 4);
+    Campaign parallel(spec, config, 4);
     const CampaignResult got = parallel.Run();
     ExpectSameRecords(got.records, want);
     EXPECT_EQ(got.Render("clamr"), want_report);
@@ -299,7 +298,7 @@ TEST(CheckpointDrivers, WeightedStopCiStopsAtTheSamePointOnEveryDriver) {
   EXPECT_GT(CounterValue("trial_checkpoint_restores_total"), restores0);
   {
     SCOPED_TRACE("parallel --jobs 4");
-    ParallelCampaign parallel(spec, config, 4);
+    Campaign parallel(spec, config, 4);
     expect_oracle(parallel.Run());
   }
   {

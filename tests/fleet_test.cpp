@@ -18,7 +18,6 @@
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
 #include "campaign/journal.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "guest/builder.h"

@@ -13,7 +13,6 @@
 #include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/bits.h"
 #include "common/error.h"
@@ -442,7 +441,7 @@ TEST(InjectorCampaign, CustomInjectorSerialParallelIdentical) {
   config.injector = core::ParseInjectorSpec("multibit:bits=3");
   campaign::Campaign serial(AccumulatorApp(40), config);
   const std::string serial_csv = RecordsCsvOf(serial.Run());
-  campaign::ParallelCampaign parallel(AccumulatorApp(40), config, 3);
+  campaign::Campaign parallel(AccumulatorApp(40), config, 3);
   const std::string parallel_csv = RecordsCsvOf(parallel.Run());
   EXPECT_EQ(serial_csv, parallel_csv);
   EXPECT_EQ(serial_csv.rfind("#chaser-records-csv v6\n", 0), 0u);

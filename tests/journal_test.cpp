@@ -16,7 +16,6 @@
 #include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -424,7 +423,7 @@ TEST(JournalResume, ParallelResumeIsByteIdenticalAcrossWorkerCounts) {
     std::atomic<std::uint64_t> executed{0};
     resumed_config.trial_chaos = [&](std::uint64_t, unsigned) { ++executed; };
 
-    ParallelCampaign resumed(AccumulatorApp(50), resumed_config, jobs);
+    Campaign resumed(AccumulatorApp(50), resumed_config, jobs);
     const CampaignResult result = resumed.Run();
     SCOPED_TRACE(jobs);
     EXPECT_EQ(executed.load(), config.runs - 7);

@@ -14,7 +14,6 @@
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/fileio.h"
@@ -506,7 +505,7 @@ TEST(Telemetry, ExportServerServesTheCampaignStatus) {
 
   telemetry.BeginCampaign("probe", 2);
   TrialStats t;
-  telemetry.OnTrialDone(t, 0, 100);
+  telemetry.OnTrialDone(t);
   const HttpResponse status = HttpGet("127.0.0.1", port, "/status");
   EXPECT_EQ(status.status, 200);
   EXPECT_NE(status.body.find("\"app\": \"probe\""), std::string::npos);
@@ -532,7 +531,6 @@ TEST(Telemetry, ExportServerServesTheCampaignStatus) {
 using campaign::Campaign;
 using campaign::CampaignConfig;
 using campaign::CampaignResult;
-using campaign::ParallelCampaign;
 using campaign::WriteRecordsCsv;
 using guest::Cond;
 using guest::F;
@@ -601,7 +599,8 @@ TEST(TelemetryIdentity, SerialReportIsByteIdenticalWithTelemetryOnOrOff) {
 
 TEST(TelemetryIdentity, GoldenPhaseIsTimedWhenCallersRunGoldenFirst) {
   // chaser_run calls RunGolden() before Run(); the golden phase must still
-  // land in the telemetry, on both drivers, without changing any record.
+  // land in the telemetry, at one and two workers, without changing any
+  // record.
   CampaignConfig config;
   config.runs = 8;
   config.seed = 5;
@@ -619,16 +618,9 @@ TEST(TelemetryIdentity, GoldenPhaseIsTimedWhenCallersRunGoldenFirst) {
     Telemetry telemetry({});
     CampaignConfig observed = config;
     observed.telemetry = &telemetry;
-    std::string csv_on;
-    if (jobs == 1) {
-      Campaign c(apps::BuildMatvec({}), observed);
-      c.RunGolden();
-      csv_on = ResultCsv(c.Run());
-    } else {
-      ParallelCampaign c(apps::BuildMatvec({}), observed, jobs);
-      c.RunGolden();
-      csv_on = ResultCsv(c.Run());
-    }
+    Campaign c(apps::BuildMatvec({}), observed, jobs);
+    c.RunGolden();
+    const std::string csv_on = ResultCsv(c.Run());
     telemetry.Finish();
     EXPECT_EQ(csv_off, csv_on);
     EXPECT_EQ(golden_phase()->Count(), 1u);
@@ -649,12 +641,41 @@ TEST(TelemetryIdentity, ParallelMatchesSerialWithTelemetryAttached) {
 
   Telemetry telemetry({.status_path = dir + "/s.json"});
   config.telemetry = &telemetry;
-  ParallelCampaign parallel(AccumulatorApp(), config, /*jobs=*/4);
+  Campaign parallel(AccumulatorApp(), config, /*jobs=*/4);
   const std::string csv_parallel = ResultCsv(parallel.Run());
   telemetry.Finish();
 
   EXPECT_EQ(csv_serial, csv_parallel);
   EXPECT_EQ(ParseDone(Slurp(dir + "/s.json")), 12u);
+  fs::remove_all(dir);
+}
+
+TEST(TelemetryIdentity, CountersCountCommittedTrialsOnlyUnderStopCi) {
+  // --stop-ci at jobs 4: workers finish trials they claimed before the stop
+  // latched. Those executed but never entered the report, so the trial and
+  // outcome counters and status.json must not count them either.
+  const std::string dir = TempDir("stop_ci_counters");
+  Registry::Global().Reset();
+  Telemetry telemetry({.status_path = dir + "/s.json"});
+  CampaignConfig config;
+  config.runs = 400;
+  config.seed = 21;
+  config.sample_policy = campaign::SamplePolicy::kWeighted;
+  config.stop_ci = 0.45;
+  config.telemetry = &telemetry;
+  Campaign c(AccumulatorApp(), config, /*jobs=*/4);
+  const CampaignResult result = c.Run();
+  telemetry.Finish();
+  ASSERT_TRUE(result.stopped_early);
+  Registry& reg = Registry::Global();
+  EXPECT_EQ(reg.GetCounter("campaign_trials_total").Value(), result.runs);
+  EXPECT_EQ(reg.GetCounter("campaign_outcome_benign").Value(), result.benign);
+  EXPECT_EQ(reg.GetCounter("campaign_outcome_terminated").Value(),
+            result.terminated);
+  EXPECT_EQ(reg.GetCounter("campaign_outcome_sdc").Value(), result.sdc);
+  EXPECT_EQ(reg.GetCounter("campaign_outcome_infra").Value(), result.infra);
+  EXPECT_EQ(ParseDone(Slurp(dir + "/s.json")), result.runs);
+  Registry::Global().Reset();
   fs::remove_all(dir);
 }
 
@@ -697,10 +718,11 @@ TEST(Telemetry, TrialCountersLandInTheGlobalRegistry) {
   t.outcome = 2;  // sdc
   t.instructions = 1000;
   t.injections = 3;
-  telemetry.OnTrialDone(t, 0, 500);
+  telemetry.OnTrialExecuted(t, 0, 500);
+  telemetry.OnTrialDone(t);
   t.outcome = 0;  // benign
   t.replayed = true;
-  telemetry.OnTrialDone(t, 0, 0);
+  telemetry.OnTrialDone(t);
   telemetry.DetachThread();
   telemetry.Finish();
   Registry& reg = Registry::Global();

@@ -1,16 +1,27 @@
-// Tests for src/campaign/parallel: the worker-pool campaign driver must be
-// bit-identical to the serial Campaign for the same seed at any worker
-// count, and consecutive trials on one engine must be fully isolated (no
-// hub/stat bleed between trials).
+// Tests for the Campaign driver at jobs > 1: a campaign must be
+// bit-identical to the jobs-1 run of the same seed at any worker count —
+// result, sink stream, journal bytes and spool tree, early stop included —
+// its record sink must stream in seed order while trials still run, and
+// consecutive trials on one engine must be fully isolated (no hub/stat
+// bleed between trials).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <mutex>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
+#include "campaign/journal.h"
 #include "common/error.h"
 #include "guest/builder.h"
 
@@ -94,7 +105,7 @@ void ExpectResultEq(const CampaignResult& a, const CampaignResult& b) {
   }
 }
 
-TEST(ParallelCampaign, BitIdenticalToSerialAtAnyWorkerCount) {
+TEST(CampaignWorkers, BitIdenticalToSerialAtAnyWorkerCount) {
   CampaignConfig config;
   config.runs = 48;
   config.seed = 2026;
@@ -102,14 +113,14 @@ TEST(ParallelCampaign, BitIdenticalToSerialAtAnyWorkerCount) {
   const CampaignResult reference = serial.Run();
 
   for (const unsigned jobs : {1u, 2u, 8u}) {
-    ParallelCampaign parallel(AccumulatorApp(50), config, jobs);
+    Campaign parallel(AccumulatorApp(50), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
   }
 }
 
-TEST(ParallelCampaign, BitIdenticalToSerialForMpiApp) {
+TEST(CampaignWorkers, BitIdenticalToSerialForMpiApp) {
   // Matvec exercises the whole stack per trial: MPI collectives, the taint
   // hub, cross-rank propagation, and every termination class.
   CampaignConfig config;
@@ -120,31 +131,31 @@ TEST(ParallelCampaign, BitIdenticalToSerialForMpiApp) {
   const CampaignResult reference = serial.Run();
 
   for (const unsigned jobs : {2u, 8u}) {
-    ParallelCampaign parallel(apps::BuildMatvec({}), config, jobs);
+    Campaign parallel(apps::BuildMatvec({}), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
   }
 }
 
-TEST(ParallelCampaign, SeedDerivationMatchesSerialForkSequence) {
+TEST(CampaignWorkers, SeedDerivationMatchesSerialForkSequence) {
   Rng rng(777);
   const std::vector<std::uint64_t> expected{rng.Fork(), rng.Fork(), rng.Fork()};
   EXPECT_EQ(Campaign::DeriveTrialSeeds(777, 3), expected);
 }
 
-TEST(ParallelCampaign, JobsZeroPicksAtLeastOneWorker) {
-  ParallelCampaign c(AccumulatorApp(30), {.runs = 0}, 0);
+TEST(CampaignWorkers, JobsZeroPicksAtLeastOneWorker) {
+  Campaign c(AccumulatorApp(30), {.runs = 0}, 0);
   EXPECT_GE(c.jobs(), 1u);
 }
 
-TEST(ParallelCampaign, InvalidInjectRankThrowsInConstructor) {
+TEST(CampaignWorkers, InvalidInjectRankThrowsInConstructor) {
   CampaignConfig config;
   config.inject_ranks = {9};
-  EXPECT_THROW(ParallelCampaign(AccumulatorApp(30), config, 2), ConfigError);
+  EXPECT_THROW(Campaign(AccumulatorApp(30), config, 2), ConfigError);
 }
 
-TEST(ParallelCampaign, GoldenFailurePropagatesOutOfRun) {
+TEST(CampaignWorkers, GoldenFailurePropagatesOutOfRun) {
   // No targeted instructions -> the golden phase must throw, even though
   // Run() would otherwise fan out to workers.
   guest::ProgramBuilder b("nofp");
@@ -154,23 +165,165 @@ TEST(ParallelCampaign, GoldenFailurePropagatesOutOfRun) {
   spec.program = b.Finalize();
   spec.num_ranks = 1;
   spec.fault_classes = {guest::InstrClass::kFadd};
-  ParallelCampaign c(std::move(spec), {.runs = 4}, 2);
+  Campaign c(std::move(spec), {.runs = 4}, 2);
   EXPECT_THROW(c.Run(), ConfigError);
 }
 
-TEST(ParallelCampaign, KeepRecordsOffStillCountsDeterministically) {
+TEST(CampaignWorkers, KeepRecordsOffStillCountsDeterministically) {
   CampaignConfig config;
   config.runs = 16;
   config.seed = 31;
   config.keep_records = false;
   Campaign serial(AccumulatorApp(40), config);
   const CampaignResult reference = serial.Run();
-  ParallelCampaign parallel(AccumulatorApp(40), config, 4);
+  Campaign parallel(AccumulatorApp(40), config, 4);
   const CampaignResult result = parallel.Run();
   EXPECT_TRUE(result.records.empty());
   EXPECT_EQ(reference.benign, result.benign);
   EXPECT_EQ(reference.terminated, result.terminated);
   EXPECT_EQ(reference.sdc, result.sdc);
+}
+
+// ---- Streaming seed-order commit ----------------------------------------------
+
+namespace fs = std::filesystem;
+
+std::string TempDir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("chaser_parallel_campaign_test_" + name + "_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+std::string Slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Every file under `dir`, relative path -> bytes.
+std::map<std::string, std::string> Tree(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[fs::relative(entry.path(), dir).string()] = Slurp(entry.path());
+    }
+  }
+  return files;
+}
+
+TEST(CampaignWorkers, SinkStreamsInSeedOrderWhileTrialsStillRun) {
+  CampaignConfig config;
+  config.runs = 48;
+  config.seed = 2027;
+  const std::vector<std::uint64_t> seeds =
+      Campaign::DeriveTrialSeeds(config.seed, config.runs);
+  std::atomic<std::uint64_t> sunk_count{0};
+  std::vector<std::uint64_t> sunk;  // the sink is never called concurrently
+  config.record_sink = [&](const RunRecord& rec) {
+    sunk.push_back(rec.run_seed);
+    ++sunk_count;
+  };
+  std::uint64_t sunk_before_last = 0;
+  config.trial_chaos = [&](std::uint64_t run_seed, unsigned) {
+    if (run_seed != seeds.back()) return;
+    // The last trial holds off (bounded) until the sink has been fed, so a
+    // descheduled worker cannot make this flaky. A sink fed only after the
+    // workers join never fires here, however long the wait.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (sunk_count.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    sunk_before_last = sunk_count.load();
+  };
+  Campaign campaign(AccumulatorApp(50), config, 4);
+  const CampaignResult result = campaign.Run();
+  EXPECT_GT(sunk_before_last, 0u)
+      << "the sink must stream records before the last trial starts";
+  EXPECT_EQ(sunk, seeds) << "records must reach the sink in seed order";
+  EXPECT_EQ(result.runs, config.runs);
+}
+
+TEST(CampaignWorkers, ThrowingSinkEndsRunAndNothingLaterIsSunkOrJournaled) {
+  constexpr std::uint64_t kThrowAt = 5;  // the sink's sixth record throws
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    const std::string dir = TempDir("throwing_sink_" + std::to_string(jobs));
+    CampaignConfig config;
+    config.runs = 40;
+    config.seed = 2028;
+    config.journal_path = dir + "/journal.chj";
+    const std::vector<std::uint64_t> seeds =
+        Campaign::DeriveTrialSeeds(config.seed, config.runs);
+    std::vector<std::uint64_t> sunk;
+    config.record_sink = [&](const RunRecord& rec) {
+      sunk.push_back(rec.run_seed);
+      if (sunk.size() == kThrowAt + 1) throw std::runtime_error("sink full");
+    };
+    Campaign campaign(AccumulatorApp(50), config, jobs);
+    try {
+      campaign.Run();
+      ADD_FAILURE() << "Run() must end with the sink's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "sink full");
+    }
+    const std::vector<std::uint64_t> upto_k(seeds.begin(),
+                                            seeds.begin() + kThrowAt + 1);
+    EXPECT_EQ(sunk, upto_k) << "nothing after the throwing record is sunk";
+    std::vector<std::uint64_t> journaled;
+    for (const RunRecord& rec : ReadJournal(config.journal_path).records) {
+      journaled.push_back(rec.run_seed);
+    }
+    EXPECT_EQ(journaled, upto_k)
+        << "nothing after the throwing record is journaled";
+    fs::remove_all(dir);
+  }
+}
+
+TEST(CampaignWorkers, JournalIsByteIdenticalToSerial) {
+  const std::string dir = TempDir("journal_identity");
+  CampaignConfig config;
+  config.runs = 40;
+  config.seed = 2029;
+  config.journal_path = dir + "/serial.chj";
+  Campaign serial(AccumulatorApp(50), config);
+  serial.Run();
+  config.journal_path = dir + "/jobs4.chj";
+  Campaign parallel(AccumulatorApp(50), config, 4);
+  parallel.Run();
+  const std::string want = Slurp(dir + "/serial.chj");
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(Slurp(dir + "/jobs4.chj"), want)
+      << "journal appends must happen in seed order at any worker count";
+  fs::remove_all(dir);
+}
+
+TEST(CampaignWorkers, StopCiSpoolIsByteIdenticalToSerial) {
+  // Under --stop-ci, workers still finish trials they claimed before the
+  // stop latched; none of those may leave a spool behind.
+  const std::string dir = TempDir("stop_ci_spool");
+  CampaignConfig config;
+  config.runs = 400;
+  config.seed = 21;
+  config.sample_policy = SamplePolicy::kWeighted;
+  config.stop_ci = 0.45;  // converges soon after the 32-trial guard
+  config.spool_dir = dir + "/serial";
+  Campaign serial(AccumulatorApp(50), config);
+  const CampaignResult a = serial.Run();
+  ASSERT_TRUE(a.stopped_early);
+  config.spool_dir = dir + "/jobs4";
+  Campaign parallel(AccumulatorApp(50), config, 4);
+  const CampaignResult b = parallel.Run();
+  EXPECT_EQ(a.runs, b.runs);
+  const std::map<std::string, std::string> want = Tree(dir + "/serial");
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(Tree(dir + "/jobs4"), want);
+  fs::remove_all(dir);
 }
 
 // ---- Contained trial failures -------------------------------------------------
@@ -259,7 +412,7 @@ TEST(TrialContainment, ParallelPoolSurvivesThrowingTrials) {
   EXPECT_EQ(reference.infra, 4u);
 
   for (const unsigned jobs : {2u, 8u}) {
-    ParallelCampaign parallel(AccumulatorApp(40), config, jobs);
+    Campaign parallel(AccumulatorApp(40), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
@@ -283,7 +436,7 @@ TEST(HubDegradation, DegradedCampaignStaysBitIdenticalSerialVsParallel) {
   const CampaignResult reference = serial.Run();
 
   for (const unsigned jobs : {2u, 8u}) {
-    ParallelCampaign parallel(apps::BuildMatvec({}), config, jobs);
+    Campaign parallel(apps::BuildMatvec({}), config, jobs);
     const CampaignResult result = parallel.Run();
     SCOPED_TRACE(jobs);
     ExpectResultEq(reference, result);
@@ -307,7 +460,7 @@ TEST(HubDegradation, OutagePlusThrowingTrialCompletesWithInfraAndTaintLost) {
   config.trial_chaos = [victim](std::uint64_t run_seed, unsigned) {
     if (run_seed == victim) throw ConfigError("chaos: trial host lost");
   };
-  ParallelCampaign campaign(apps::BuildMatvec({}), config, 4);
+  Campaign campaign(apps::BuildMatvec({}), config, 4);
   const CampaignResult result = campaign.Run();  // must NOT throw
   EXPECT_EQ(result.runs, 24u);
   EXPECT_EQ(result.infra, 1u);

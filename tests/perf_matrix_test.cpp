@@ -12,7 +12,6 @@
 
 #include "apps/app.h"
 #include "campaign/campaign.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "guest/builder.h"
 #include "tcg/shared_cache.h"
@@ -25,7 +24,6 @@ namespace {
 using campaign::Campaign;
 using campaign::CampaignConfig;
 using campaign::CampaignResult;
-using campaign::ParallelCampaign;
 using guest::Cond;
 using guest::F;
 using guest::ProgramBuilder;
@@ -348,9 +346,9 @@ CampaignConfig MatrixConfig() {
   return config;
 }
 
-// Every cell of {serial, parallel x3} x {driver-owned cache, external cache}
-// must be byte-identical: where translations live is transparent and the
-// parallel driver replays the serial seed sequence.
+// Every cell of {jobs 1, jobs 3} x {campaign-owned cache, external cache}
+// must be byte-identical: where translations live is transparent and every
+// worker count commits the same seed sequence.
 TEST(IdentityMatrix, AllCellsByteIdentical) {
   const apps::AppSpec spec = AccumulatorApp();
 
@@ -358,23 +356,15 @@ TEST(IdentityMatrix, AllCellsByteIdentical) {
   const std::string want = Fingerprint(baseline.Run());
   EXPECT_NE(want.find("matrix"), std::string::npos);
 
-  for (const bool parallel : {false, true}) {
+  for (const unsigned jobs : {1u, 3u}) {
     for (const bool external : {false, true}) {
       SharedTbCache cache;
       CampaignConfig config = MatrixConfig();
       if (external) config.shared_tb_cache = &cache;
-      CampaignResult result;
-      if (parallel) {
-        ParallelCampaign c(spec, config, /*jobs=*/3);
-        EXPECT_EQ(c.shared_tb_cache() == &cache, external);
-        result = c.Run();
-      } else {
-        Campaign c(spec, config);
-        EXPECT_EQ(c.shared_tb_cache() == &cache, external);
-        result = c.Run();
-      }
-      EXPECT_EQ(Fingerprint(result), want)
-          << "parallel=" << parallel << " external=" << external;
+      Campaign c(spec, config, jobs);
+      EXPECT_EQ(c.shared_tb_cache() == &cache, external);
+      EXPECT_EQ(Fingerprint(c.Run()), want)
+          << "jobs=" << jobs << " external=" << external;
     }
   }
 }

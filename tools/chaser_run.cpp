@@ -10,9 +10,9 @@
 // distribution and termination breakdown, and optionally writes the per-run
 // records to CSV for offline analysis (see campaign/report.h).
 //
-// Trials are seed-independent, so they fan out across a worker pool
-// (campaign/parallel.h); the result is bit-identical to the serial engine
-// for the same seed no matter the --jobs value.
+// Trials are seed-independent, so they fan out across --jobs worker threads
+// (campaign/campaign.h); the result is bit-identical for the same seed no
+// matter the --jobs value.
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -24,7 +24,6 @@
 #include "apps/app.h"
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
-#include "campaign/parallel.h"
 #include "campaign/report.h"
 #include "common/error.h"
 #include "common/fileio.h"
@@ -355,6 +354,10 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(config.shard_index),
                     static_cast<unsigned long long>(config.shard_count));
     }
+    // Declared before the telemetry, whose teardown reads the cache's stats
+    // (on an error path too, after the campaign is gone).
+    tcg::SharedTbCache tb_cache(config.tb_cache_cap);
+    config.shared_tb_cache = &tb_cache;
     std::unique_ptr<obs::Telemetry> telemetry;
     if (obs_requested) {
       telemetry = std::make_unique<obs::Telemetry>(obs_options);
@@ -383,7 +386,7 @@ int main(int argc, char** argv) {
     }
 
     // The CTR store is written as trials commit (record_sink fires from the
-    // drivers' ordered reduction, journal-replayed trials included), so a
+    // campaign's seed-order commit, journal-replayed trials included), so a
     // killed run leaves a valid store prefix to resume from.
     std::unique_ptr<store::CtrStoreWriter> store_writer;
     if (!out_path.empty() && records_format == "ctr") {
@@ -426,56 +429,37 @@ int main(int argc, char** argv) {
                       ->fault_class.c_str());
     }
 
-    const auto print_golden = [](std::uint64_t instructions,
-                                 const std::set<Rank>& ranks,
-                                 auto&& execs_of) {
-      std::printf("golden run: %llu instructions, targeted executions per rank:",
-                  static_cast<unsigned long long>(instructions));
-      for (const Rank r : ranks) {
-        std::printf(" r%d=%llu", r,
-                    static_cast<unsigned long long>(execs_of(r)));
-      }
-      std::printf("\n\n");
-    };
-
-    // The cache-stats source and Finish() both read the campaign-owned
-    // shared cache, so they live inside the driver's scope.
-    const auto attach_cache_stats = [&](const tcg::SharedTbCache* cache) {
-      if (telemetry == nullptr) return;
-      telemetry->SetCacheStatsSource([cache] {
-        const tcg::SharedTbCache::Stats s = cache->stats();
+    // --jobs 1 runs every trial on this thread; anything else (default: all
+    // hardware threads) adds worker threads. Same result either way.
+    const bool serial = jobs_given && jobs == 1;
+    campaign::Campaign c(std::move(spec), config,
+                         serial ? 1u : static_cast<unsigned>(jobs));
+    c.RunGolden();
+    std::printf("golden run: %llu instructions, targeted executions per rank:",
+                static_cast<unsigned long long>(c.golden_instructions()));
+    for (const Rank r : c.inject_ranks()) {
+      std::printf(" r%d=%llu", r,
+                  static_cast<unsigned long long>(c.golden_targeted_execs(r)));
+    }
+    std::printf("\n\n");
+    if (serial) {
+      std::printf("engine: serial\n");
+    } else {
+      std::printf("engine: parallel, %u workers\n", c.jobs());
+    }
+    if (telemetry != nullptr) {
+      telemetry->SetCacheStatsSource([&tb_cache] {
+        const tcg::SharedTbCache::Stats s = tb_cache.stats();
         return obs::CacheStatsSnapshot{.translations = s.translations,
                                        .reuses = s.reuses,
                                        .epoch_flushes = s.epoch_flushes,
                                        .evicted_tbs = s.evicted_tbs};
       });
-    };
-
-    campaign::CampaignResult result;
-    if (jobs_given && jobs == 1) {
-      campaign::Campaign c(std::move(spec), config);
-      c.RunGolden();
-      print_golden(c.golden_instructions(), c.inject_ranks(),
-                   [&](Rank r) { return c.golden_targeted_execs(r); });
-      std::printf("engine: serial\n");
-      attach_cache_stats(c.shared_tb_cache());
-      result = c.Run();
-      if (telemetry != nullptr) telemetry->Finish();
-      std::printf("%s", result.Render(app_name).c_str());
-      PrintSharedCacheStats(c.shared_tb_cache());
-    } else {
-      campaign::ParallelCampaign c(std::move(spec), config,
-                                   static_cast<unsigned>(jobs));
-      c.RunGolden();
-      print_golden(c.golden_instructions(), c.inject_ranks(),
-                   [&](Rank r) { return c.golden_targeted_execs(r); });
-      std::printf("engine: parallel, %u workers\n", c.jobs());
-      attach_cache_stats(c.shared_tb_cache());
-      result = c.Run();
-      if (telemetry != nullptr) telemetry->Finish();
-      std::printf("%s", result.Render(app_name).c_str());
-      PrintSharedCacheStats(c.shared_tb_cache());
     }
+    const campaign::CampaignResult result = c.Run();
+    if (telemetry != nullptr) telemetry->Finish();
+    std::printf("%s", result.Render(app_name).c_str());
+    PrintSharedCacheStats(&tb_cache);
 
     if (config.trace) {
       const campaign::PropagationStats stats =
