@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -29,47 +30,6 @@ std::uint64_t ReadU64Le(const char* p) {
 }
 
 }  // namespace
-
-// ---- Varint codec -------------------------------------------------------------
-
-void AppendVarint(std::string* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-std::optional<std::uint64_t> DecodeVarint(const std::string& buf,
-                                          std::size_t* pos) {
-  std::uint64_t v = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    if (*pos >= buf.size()) return std::nullopt;
-    const std::uint8_t byte = static_cast<std::uint8_t>(buf[(*pos)++]);
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      // Reject overlong encodings that would shift bits past 64.
-      if (shift == 63 && (byte & 0x7e) != 0) return std::nullopt;
-      // Reject non-canonical (overlong) encodings: a terminal byte of 0x00
-      // after at least one continuation byte contributes no value bits, so
-      // e.g. {0x80, 0x00} would alias the one-byte encoding of 0. AppendVarint
-      // never emits such forms; rejecting them makes encode/decode bijective,
-      // which the CTR store's CRC-then-codec framing relies on.
-      if (byte == 0 && shift > 0) return std::nullopt;
-      return v;
-    }
-  }
-  return std::nullopt;  // >10 continuation bytes: corrupt
-}
-
-std::uint64_t ZigZagEncode(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t ZigZagDecode(std::uint64_t v) {
-  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
 
 // ---- Writer -------------------------------------------------------------------
 

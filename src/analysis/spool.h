@@ -32,16 +32,6 @@
 
 namespace chaser::analysis {
 
-// ---- Varint codec (unsigned LEB128 + zigzag for signed fields) ---------------
-
-void AppendVarint(std::string* out, std::uint64_t v);
-/// Decode one varint at `*pos`; advances `*pos`. Returns nullopt on
-/// truncated/overlong input (leaves `*pos` unspecified).
-std::optional<std::uint64_t> DecodeVarint(const std::string& buf,
-                                          std::size_t* pos);
-std::uint64_t ZigZagEncode(std::int64_t v);
-std::int64_t ZigZagDecode(std::uint64_t v);
-
 // ---- Records ------------------------------------------------------------------
 
 /// One decoded spool record (tagged union, tag mirrors the on-disk byte).

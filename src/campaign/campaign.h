@@ -183,7 +183,7 @@ struct CampaignConfig {
   /// changes nothing. When shard_count > 1, --stop-ci is force-disabled in
   /// the worker (the stop prefix is defined in *global* seed order, which a
   /// single shard cannot observe) and re-applied at merge by
-  /// campaign::MergeShardRecords.
+  /// campaign::MergeShardStreams.
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
   /// Non-empty: every trial's hub operations go to these chaser_hubd
@@ -386,7 +386,7 @@ RunRecord RunTrialContained(std::unique_ptr<TrialEngine>* engine,
                             std::uint64_t run_seed);
 
 /// The one seed-order commit behind every campaign result: the Campaign
-/// driver at any worker count (shard workers included) and both shard merges
+/// driver at any worker count (shard workers included) and the shard merge
 /// (campaign/fleet.h) reduce through it. Records arrive as (position,
 /// record) pairs in any order — as workers finish trials, as journal replay
 /// or a merge supplies them — and the cursor holds only those that are

@@ -1,7 +1,5 @@
 #include "campaign/fleet.h"
 
-#include <map>
-
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -38,52 +36,6 @@ std::vector<std::uint64_t> ShardTrialIndices(std::uint64_t runs,
   return indices;
 }
 
-namespace {
-
-// The merge's commit: the same CommitCursor a Campaign reduces through, so
-// the merged result is bit-identical to one process running the plan. The
-// records carry every field Accumulate and the estimator read.
-CommitCursor MergeCursor(const MergePlan& plan,
-                         std::function<void(const RunRecord&)> sink) {
-  return CommitCursor({.planned = plan.runs,
-                       .sample_policy = plan.sample_policy,
-                       .stop_ci = plan.stop_ci,
-                       .keep_records = plan.keep_records,
-                       .sink = std::move(sink)});
-}
-
-}  // namespace
-
-CampaignResult MergeShardRecords(const MergePlan& plan,
-                                 const std::vector<RunRecord>& shard_records) {
-  std::map<std::uint64_t, const RunRecord*> by_seed;
-  for (const RunRecord& rec : shard_records) {
-    const auto [it, inserted] = by_seed.emplace(rec.run_seed, &rec);
-    if (!inserted) {
-      throw ConfigError(StrFormat(
-          "MergeShardRecords: run_seed %llu appears twice — two shards ran "
-          "the same trial, or a records file was passed more than once",
-          static_cast<unsigned long long>(rec.run_seed)));
-    }
-  }
-  const std::vector<std::uint64_t> seeds =
-      Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
-  CommitCursor cursor = MergeCursor(plan, nullptr);
-  for (std::uint64_t t = 0; t < plan.runs && !cursor.closed(); ++t) {
-    const auto it = by_seed.find(seeds[static_cast<std::size_t>(t)]);
-    if (it == by_seed.end()) {
-      throw ConfigError(StrFormat(
-          "MergeShardRecords: no shard provided trial seed %llu (trial %llu "
-          "of %llu) — a shard's records are incomplete or missing",
-          static_cast<unsigned long long>(seeds[static_cast<std::size_t>(t)]),
-          static_cast<unsigned long long>(t + 1),
-          static_cast<unsigned long long>(plan.runs)));
-    }
-    cursor.Offer(t, *it->second);
-  }
-  return cursor.Finish();
-}
-
 CampaignResult MergeShardStreams(
     const MergePlan& plan, std::vector<ShardRecordStream> streams,
     const std::function<void(const RunRecord&)>& sink) {
@@ -95,8 +47,14 @@ CampaignResult MergeShardStreams(
       Campaign::DeriveTrialSeeds(plan.seed, plan.runs);
   // Global trial t's record is the next unread record of stream t % N — the
   // shard partition *is* the round-robin, so pulling in lockstep walks the
-  // global seed order with one in-flight record per shard.
-  CommitCursor cursor = MergeCursor(plan, sink);
+  // global seed order with one in-flight record per shard. The commit is the
+  // same CommitCursor a Campaign reduces through, so the merged result is
+  // bit-identical to one process running the plan.
+  CommitCursor cursor({.planned = plan.runs,
+                       .sample_policy = plan.sample_policy,
+                       .stop_ci = plan.stop_ci,
+                       .keep_records = false,
+                       .sink = sink});
   RunRecord rec;
   for (std::uint64_t t = 0; t < plan.runs && !cursor.closed(); ++t) {
     ShardRecordStream& stream = streams[static_cast<std::size_t>(t % n_shards)];

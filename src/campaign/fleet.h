@@ -42,32 +42,23 @@ struct MergePlan {
   std::uint64_t seed = 0;
   SamplePolicy sample_policy = SamplePolicy::kUniform;
   double stop_ci = 0.0;
-  bool keep_records = true;
 };
-
-/// Merge per-shard trial records into the result an unsharded run of `plan`
-/// would have produced. `shard_records` is the concatenation of every
-/// shard's records (any order — they are re-keyed by run_seed). Throws
-/// ConfigError on a duplicate run_seed (two shards ran the same trial, or
-/// one CSV was passed twice) or on a seed the plan needs that no shard
-/// provided (a shard's records are incomplete) — except past the early-stop
-/// point, where missing trials are expected.
-CampaignResult MergeShardRecords(const MergePlan& plan,
-                                 const std::vector<RunRecord>& shard_records);
 
 /// One shard's records as a pull stream, in the shard's own (seed-order)
 /// sequence: fills `*out` and returns true, or returns false at the end.
 using ShardRecordStream = std::function<bool(RunRecord*)>;
 
-/// Streaming MergeShardRecords: byte-identical result, bounded memory.
-/// `streams[i]` must yield shard i's records in order — because shard i owns
-/// exactly the global trial indices with index % N == i, the global seed
-/// order is a round-robin over the streams, so the merge pulls one record at
-/// a time and never materializes a shard's record set. Each pulled record's
-/// run_seed is verified against the plan's derived seed sequence; a mismatch
-/// (duplicate, missing, or mis-ordered trial) is a ConfigError. `sink`, when
-/// set, sees every committed record in global seed order — the hook a merged
-/// CTR store or streaming CSV export hangs off.
+/// Merge per-shard records into the result an unsharded run of `plan` would
+/// have produced, in bounded memory. `streams[i]` must yield shard i's
+/// records in order — because shard i owns exactly the global trial indices
+/// with index % N == i, the global seed order is a round-robin over the
+/// streams, so the merge pulls one record at a time and never materializes
+/// a shard's record set. Each pulled record's run_seed is verified against
+/// the plan's derived seed sequence; a stream that repeats, skips or runs
+/// out of trials before the plan (or its early stop) is complete is a
+/// ConfigError. The result keeps no records: `sink`, when set, sees every
+/// committed record in global seed order — the hook a merged CTR store
+/// hangs off.
 CampaignResult MergeShardStreams(
     const MergePlan& plan, std::vector<ShardRecordStream> streams,
     const std::function<void(const RunRecord&)>& sink = nullptr);

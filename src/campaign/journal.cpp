@@ -7,8 +7,7 @@
 #include <fstream>
 #include <optional>
 
-#include "analysis/spool.h"
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -23,24 +22,7 @@ constexpr char kJournalMagic[8] = {'C', 'H', 'S', 'J', 'R', 'N', 'L', '1'};
 /// varint, not a real record (records are a few hundred bytes).
 constexpr std::uint64_t kMaxRecordBytes = 1u << 20;
 
-using analysis::AppendVarint;
-using analysis::DecodeVarint;
-using analysis::ZigZagDecode;
-using analysis::ZigZagEncode;
-
-void AppendU32Le(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t ReadU32Le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::optional<RunRecord> DecodeJournalRecord(const std::string& payload,
+std::optional<RunRecord> DecodeJournalRecord(std::string_view payload,
                                              std::uint64_t version) {
   std::size_t pos = 0;
   RunRecord r;
@@ -209,32 +191,18 @@ JournalContents ReadJournal(const std::string& path) {
   contents.valid_bytes = pos;
 
   // Record region: prefix discipline — serve intact frames, stop at the
-  // first one that is short, overlong, or fails its checksum.
+  // first one that is short, overlong, fails its checksum or does not
+  // decode.
   while (pos < buf.size()) {
-    std::size_t frame_start = pos;
-    const auto len = DecodeVarint(buf, &pos);
-    if (!len || *len > kMaxRecordBytes || *len > buf.size() - pos ||
-        buf.size() - pos - *len < 4) {
+    std::string_view payload;
+    std::optional<RunRecord> rec;
+    if (DecodeFrame(buf, &pos, kMaxRecordBytes, &payload) != FrameStatus::kOk ||
+        !(rec = DecodeJournalRecord(payload, contents.header.version))) {
       contents.truncated = true;
       break;
     }
-    const std::size_t payload_at = pos;
-    const std::size_t payload_len = static_cast<std::size_t>(*len);
-    const std::uint32_t stored_crc = ReadU32Le(buf.data() + payload_at + payload_len);
-    if (Crc32(buf.data() + payload_at, payload_len) != stored_crc) {
-      contents.truncated = true;
-      break;
-    }
-    const auto rec = DecodeJournalRecord(buf.substr(payload_at, payload_len),
-                                         contents.header.version);
-    if (!rec) {
-      contents.truncated = true;
-      break;
-    }
-    pos = payload_at + payload_len + 4;
     contents.records.push_back(*rec);
     contents.valid_bytes = pos;
-    (void)frame_start;
   }
   return contents;
 }
@@ -309,11 +277,8 @@ TrialJournal::~TrialJournal() {
 }
 
 void TrialJournal::Append(const RunRecord& rec) {
-  const std::string payload = EncodeJournalRecord(rec, version_);
   std::string frame;
-  AppendVarint(&frame, payload.size());
-  frame.append(payload);
-  AppendU32Le(&frame, Crc32(payload.data(), payload.size()));
+  AppendFrame(&frame, EncodeJournalRecord(rec, version_));
 
   static obs::Counter& appends =
       obs::Registry::Global().GetCounter("journal_appends_total");

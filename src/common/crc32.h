@@ -1,9 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
-// One checksum shared by every framed byte stream in the tree — the trial
-// journal's record frames and the hub wire protocol's command frames — so a
-// frame written by one subsystem is checkable by the other's tooling and the
-// two implementations can never drift.
+// One checksum shared by every framed byte stream in the tree — the frames
+// of common/codec.h that the trial journal, the CTR store and the hub wire
+// protocol all use — so a frame written by one subsystem is checkable by
+// another's tooling.
 #pragma once
 
 #include <array>

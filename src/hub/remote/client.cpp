@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/codec.h"
 #include "common/error.h"
 #include "hub/remote/protocol.h"
 #include "obs/metrics.h"
@@ -12,9 +13,6 @@
 namespace chaser::hub::remote {
 
 namespace {
-
-using net::AppendFrame;
-using net::AppendVarint;
 
 /// Flush the batch when it would cross this many encoded bytes or records —
 /// well under net::kMaxFramePayload, and large enough that a publish-heavy
@@ -71,8 +69,8 @@ HubClockProbe ProbeHubClock(const std::string& endpoint) {
   const std::int64_t t1 = now_us();
   std::size_t pos = 0;
   std::uint64_t status = 0;
-  if (net::DecodeVarint(payload.data(), payload.size(), &pos, &status) !=
-          net::DecodeStatus::kOk ||
+  if (DecodeVarint(payload.data(), payload.size(), &pos, &status) !=
+          VarintStatus::kOk ||
       static_cast<Status>(status) != Status::kOk) {
     throw ConfigError("hub clock probe: hello rejected by " + endpoint);
   }
@@ -80,10 +78,10 @@ HubClockProbe ProbeHubClock(const std::string& endpoint) {
   probe.rtt_us = static_cast<std::uint64_t>(t1 - t0);
   std::uint64_t version = 0;
   std::uint64_t server_us = 0;
-  if (net::DecodeVarint(payload.data(), payload.size(), &pos, &version) !=
-          net::DecodeStatus::kOk ||
-      net::DecodeVarint(payload.data(), payload.size(), &pos, &server_us) !=
-          net::DecodeStatus::kOk) {
+  if (DecodeVarint(payload.data(), payload.size(), &pos, &version) !=
+          VarintStatus::kOk ||
+      DecodeVarint(payload.data(), payload.size(), &pos, &server_us) !=
+          VarintStatus::kOk) {
     return probe;  // hubd predates the hello clock field: ok=false
   }
   probe.ok = true;
@@ -148,15 +146,15 @@ std::string RemoteTaintHub::Call(Shard& shard, const std::string& request) const
   call_ns.Observe(obs::MonotonicNanos() - t0);
   std::size_t pos = 0;
   std::uint64_t status = 0;
-  if (net::DecodeVarint(payload.data(), payload.size(), &pos, &status) !=
-      net::DecodeStatus::kOk) {
+  if (DecodeVarint(payload.data(), payload.size(), &pos, &status) !=
+      VarintStatus::kOk) {
     throw ConfigError("remote hub: malformed response");
   }
   if (static_cast<Status>(status) != Status::kOk) {
     std::uint64_t len = 0;
     std::string message = "unspecified server error";
-    if (net::DecodeVarint(payload.data(), payload.size(), &pos, &len) ==
-            net::DecodeStatus::kOk &&
+    if (DecodeVarint(payload.data(), payload.size(), &pos, &len) ==
+            VarintStatus::kOk &&
         payload.size() - pos >= len) {
       message.assign(payload.data() + pos, len);
     }
@@ -205,8 +203,8 @@ PollAttempt RemoteTaintHub::TryPoll(const MessageId& id, const RecvContext& ctx)
   const std::string body = Call(shard, request);
   std::size_t pos = 0;
   std::uint64_t status = 0;
-  if (net::DecodeVarint(body.data(), body.size(), &pos, &status) !=
-      net::DecodeStatus::kOk) {
+  if (DecodeVarint(body.data(), body.size(), &pos, &status) !=
+      VarintStatus::kOk) {
     throw ConfigError("remote hub: malformed poll response");
   }
   PollAttempt attempt;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -10,14 +11,8 @@ namespace chaser::hub::remote {
 
 namespace {
 
-using net::AppendVarint;
-using net::DecodeStatus;
-using net::DecodeVarint;
-using net::ZigZagDecode;
-using net::ZigZagEncode;
-
 bool ReadVarint(const std::string& buf, std::size_t* pos, std::uint64_t* v) {
-  return DecodeVarint(buf.data(), buf.size(), pos, v) == DecodeStatus::kOk;
+  return DecodeVarint(buf.data(), buf.size(), pos, v) == VarintStatus::kOk;
 }
 
 bool ReadSigned(const std::string& buf, std::size_t* pos, std::int64_t* v) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/codec.h"
 #include "common/error.h"
 #include "hub/remote/protocol.h"
 #include "obs/metrics.h"
@@ -17,8 +18,6 @@ namespace chaser::hub::remote {
 
 namespace {
 
-using net::AppendFrame;
-using net::AppendVarint;
 
 const char* CommandLabel(std::uint64_t cmd) {
   switch (static_cast<Command>(cmd)) {
@@ -176,8 +175,8 @@ bool HubServer::HandleFrame(Connection& conn, const std::string& payload,
 
   std::size_t pos = 0;
   std::uint64_t cmd = 0;
-  if (net::DecodeVarint(payload.data(), payload.size(), &pos, &cmd) !=
-      net::DecodeStatus::kOk) {
+  if (DecodeVarint(payload.data(), payload.size(), &pos, &cmd) !=
+      VarintStatus::kOk) {
     *why = "missing command byte";
     return false;
   }
@@ -197,8 +196,8 @@ bool HubServer::DispatchCommand(Connection& conn, const std::string& payload,
   switch (static_cast<Command>(cmd)) {
     case Command::kPublishBatch: {
       std::uint64_t count = 0;
-      if (net::DecodeVarint(payload.data(), payload.size(), &pos, &count) !=
-          net::DecodeStatus::kOk) {
+      if (DecodeVarint(payload.data(), payload.size(), &pos, &count) !=
+          VarintStatus::kOk) {
         *why = "malformed publish batch";
         return false;
       }

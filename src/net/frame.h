@@ -1,21 +1,18 @@
-// Length-prefixed CRC-framed byte streams for the hub wire protocol.
+// Incremental decoding of the hub wire protocol's CRC frames.
 //
-// A frame on the wire is:
-//
-//     varint payload_len | payload bytes | CRC32-LE(payload)   (4 bytes)
-//
-// — the same shape as the trial journal's record frames (DESIGN.md §5.3),
-// with the same CRC (common/crc32.h), so a frame written by either subsystem
-// is checkable by the other's tooling. Unlike the journal, a torn frame on a
-// socket is not "end of valid prefix": the stream continues, so the decoder
-// distinguishes "need more bytes" (kNeedMore) from "this connection is
-// poisoned" (kError — bad varint, zero/oversized length, CRC mismatch).
-// Servers drop only the offending connection, never abort.
+// Frames are built with common/codec.h's AppendFrame — the same shape as the
+// trial journal's and the CTR store's frames (DESIGN.md §5.3). Unlike a file,
+// a torn frame on a socket is not "end of valid prefix": the stream
+// continues, so the decoder distinguishes "need more bytes" (kNeedMore) from
+// "this connection is poisoned" (kError — bad varint, zero/oversized length,
+// CRC mismatch). Servers drop only the offending connection, never abort.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "common/codec.h"
 
 namespace chaser::net {
 
@@ -23,35 +20,6 @@ namespace chaser::net {
 /// publish records with multi-megabyte masks, small enough that a garbage
 /// length prefix cannot make a peer allocate unbounded memory.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 22;  // 4 MiB
-
-// ---- varint (LEB128, unsigned) ---------------------------------------------
-
-void AppendVarint(std::string* out, std::uint64_t value);
-
-/// Zig-zag for signed values (tags/ranks on the wire).
-inline std::uint64_t ZigZagEncode(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-inline std::int64_t ZigZagDecode(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-}
-
-enum class DecodeStatus : std::uint8_t {
-  kOk,        // value decoded, *pos advanced past it
-  kNeedMore,  // buffer ends mid-varint — feed more bytes and retry
-  kMalformed, // > 10 bytes of continuation: not a varint
-};
-
-/// Decode a varint from buf[*pos..). On kOk advances *pos; otherwise leaves
-/// it untouched so the caller can retry once more bytes arrive.
-DecodeStatus DecodeVarint(const char* buf, std::size_t size, std::size_t* pos,
-                          std::uint64_t* value);
-
-// ---- frame encode ----------------------------------------------------------
-
-/// Append one complete frame (length + payload + CRC) to `out`.
-void AppendFrame(std::string* out, const std::string& payload);
 
 // ---- incremental frame decode ----------------------------------------------
 

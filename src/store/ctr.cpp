@@ -8,19 +8,13 @@
 #include <fstream>
 #include <optional>
 
-#include "analysis/spool.h"
-#include "common/crc32.h"
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/strings.h"
 
 namespace chaser::store {
 
 namespace fs = std::filesystem;
-
-using analysis::AppendVarint;
-using analysis::DecodeVarint;
-using analysis::ZigZagDecode;
-using analysis::ZigZagEncode;
 
 namespace {
 
@@ -83,21 +77,7 @@ void AppendU64Le(std::string* out, std::uint64_t v) {
   }
 }
 
-void AppendU32Le(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t ReadU32Le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::optional<std::uint64_t> ReadU64Le(const std::string& buf,
+std::optional<std::uint64_t> ReadU64Le(std::string_view buf,
                                        std::size_t* pos) {
   if (buf.size() - *pos < 8) return std::nullopt;
   std::uint64_t v = 0;
@@ -121,21 +101,12 @@ void ReadWholeFile(std::ifstream& in, std::string* out) {
   if (in.gcount() != size) out->resize(static_cast<std::size_t>(in.gcount()));
 }
 
-/// Extract the next intact frame's payload. False when the tail from `*pos`
-/// is torn: short, overlong, or failing its CRC — the caller applies the
-/// journal's prefix discipline.
-bool NextFrame(const std::string& buf, std::size_t* pos, std::string* payload) {
-  std::size_t p = *pos;
-  const auto len = DecodeVarint(buf, &p);
-  if (!len || *len == 0 || *len > kMaxCtrFrame || *len > buf.size() - p ||
-      buf.size() - p - *len < 4) {
-    return false;
-  }
-  const std::size_t n = static_cast<std::size_t>(*len);
-  if (Crc32(buf.data() + p, n) != ReadU32Le(buf.data() + p + n)) return false;
-  payload->assign(buf, p, n);
-  *pos = p + n + 4;
-  return true;
+/// View the next intact frame's payload inside `buf`. False when the tail
+/// from `*pos` is torn: short, overlong, or failing its CRC — the caller
+/// applies the journal's prefix discipline.
+bool NextFrame(std::string_view buf, std::size_t* pos,
+               std::string_view* payload) {
+  return DecodeFrame(buf, pos, kMaxCtrFrame, payload) == FrameStatus::kOk;
 }
 
 unsigned BitWidth(std::uint64_t v) {
@@ -172,7 +143,7 @@ void PackBits(std::string* out, const std::vector<std::uint64_t>& v,
 /// Append `count` w-bit values from `payload` to `*out`. The packed run must
 /// extend exactly to `end` — widths and counts are fixed, so any other
 /// length is corruption.
-bool UnpackBits(const std::string& payload, std::size_t* pos, std::size_t end,
+bool UnpackBits(std::string_view payload, std::size_t* pos, std::size_t end,
                 std::uint64_t count, unsigned w,
                 std::vector<std::uint64_t>* out) {
   const std::uint64_t need = (count * w + 7) / 8;
@@ -291,7 +262,7 @@ void EncodeColumn(std::string* out, const std::vector<std::uint64_t>& v) {
 }
 
 /// Decode (or skip, when !wanted) one column payload of `count` values.
-bool DecodeColumn(const std::string& payload, std::size_t* pos,
+bool DecodeColumn(std::string_view payload, std::size_t* pos,
                   std::uint64_t count, bool wanted,
                   std::vector<std::uint64_t>* out) {
   if (*pos >= payload.size()) return false;
@@ -357,7 +328,7 @@ bool DecodeColumn(const std::string& payload, std::size_t* pos,
 /// Decode a data-block payload (past the tag byte): record count, dict
 /// prelude (appended to `*dict`), then the kNumColumns column payloads,
 /// decoding only those in `mask`.
-bool DecodeBlockPayload(const std::string& payload, ColumnMask mask,
+bool DecodeBlockPayload(std::string_view payload, ColumnMask mask,
                         std::vector<std::string>* dict,
                         std::vector<std::uint64_t> cols[kNumColumns],
                         std::uint64_t* count) {
@@ -369,7 +340,7 @@ bool DecodeBlockPayload(const std::string& payload, ColumnMask mask,
   for (std::uint64_t i = 0; i < *new_entries; ++i) {
     const auto len = DecodeVarint(payload, &pos);
     if (!len || *len > payload.size() - pos) return false;
-    dict->push_back(payload.substr(pos, static_cast<std::size_t>(*len)));
+    dict->emplace_back(payload.substr(pos, static_cast<std::size_t>(*len)));
     pos += static_cast<std::size_t>(*len);
   }
   for (unsigned c = 0; c < kNumColumns; ++c) {
@@ -388,7 +359,7 @@ struct DecodedHeader {
   std::uint64_t base_records = 0;
 };
 
-bool DecodeHeaderPayload(const std::string& payload, DecodedHeader* out) {
+bool DecodeHeaderPayload(std::string_view payload, DecodedHeader* out) {
   if (payload.empty() || payload[0] != kTagHeader) return false;
   std::size_t pos = 1;
   const auto u64 = [&](std::uint64_t* v) {
@@ -439,7 +410,7 @@ struct DecodedFooter {
   std::uint64_t dict_count = 0;
 };
 
-bool DecodeFooterPayload(const std::string& payload, DecodedFooter* out) {
+bool DecodeFooterPayload(std::string_view payload, DecodedFooter* out) {
   if (payload.empty() || payload[0] != kTagFooter) return false;
   std::size_t pos = 1;
   const auto records = DecodeVarint(payload, &pos);
@@ -508,7 +479,7 @@ SegmentScan ScanSegmentFile(const std::string& path) {
     return scan;  // header_ok stays false
   }
   std::size_t pos = sizeof(kCtrMagic);
-  std::string payload;
+  std::string_view payload;
   if (!NextFrame(buf, &pos, &payload) ||
       !DecodeHeaderPayload(payload, &scan.header)) {
     return scan;
@@ -795,9 +766,7 @@ void CtrStoreWriter::EnsureSegmentOpen() {
 
 void CtrStoreWriter::WriteFrame(const std::string& payload) {
   std::string frame;
-  AppendVarint(&frame, payload.size());
-  frame.append(payload);
-  AppendU32Le(&frame, Crc32(payload.data(), payload.size()));
+  AppendFrame(&frame, payload);
   // One fwrite per frame keeps frames contiguous; the fsync bounds how much
   // a crash can tear to the current frame (the journal remains the
   // per-record durability layer — resume replays anything torn off here).
@@ -918,7 +887,7 @@ bool CtrStoreScanner::LoadNextSegment() {
                       "' is not a CTR store segment");
   }
   pos_ = sizeof(kCtrMagic);
-  std::string payload;
+  std::string_view payload;
   DecodedHeader header;
   if (!NextFrame(buf_, &pos_, &payload) ||
       !DecodeHeaderPayload(payload, &header)) {
@@ -975,7 +944,7 @@ bool CtrStoreScanner::DecodeNextBlock() {
       done_ = true;
       return false;
     }
-    std::string payload;
+    std::string_view payload;
     if (!NextFrame(buf_, &pos_, &payload)) {
       in_segment_ = false;
       sealed_ = false;

@@ -15,6 +15,7 @@
 #include "analysis/spool.h"
 #include "apps/app.h"
 #include "campaign/campaign.h"
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/trace.h"

@@ -204,6 +204,28 @@ std::string RenderOf(const std::vector<RunRecord>& records,
   return result.Render(label);
 }
 
+/// Shard i's records as stream i of a MergeShardStreams call. The merge keeps
+/// no records, so the committed ones are collected from its sink into the
+/// returned result.
+CampaignResult MergeInMemory(const MergePlan& plan,
+                             const std::vector<std::vector<RunRecord>>& shards) {
+  std::vector<ShardRecordStream> streams;
+  for (const std::vector<RunRecord>& shard : shards) {
+    streams.push_back([&shard, next = std::size_t{0}](RunRecord* out) mutable {
+      if (next == shard.size()) return false;
+      *out = shard[next++];
+      return true;
+    });
+  }
+  std::vector<RunRecord> sunk;
+  CampaignResult merged = MergeShardStreams(
+      plan, std::move(streams),
+      [&sunk](const RunRecord& rec) { sunk.push_back(rec); });
+  EXPECT_TRUE(merged.records.empty()) << "a merge keeps no records";
+  merged.records = std::move(sunk);
+  return merged;
+}
+
 TEST(CheckpointDrivers, SerialParallelShardedAndResumedMatchTheOracle) {
   const apps::AppSpec spec = BuildApp("clamr");
   const CampaignConfig config = BaseConfig("clamr", spec);
@@ -226,21 +248,19 @@ TEST(CheckpointDrivers, SerialParallelShardedAndResumedMatchTheOracle) {
   }
   {
     SCOPED_TRACE("3 shards");
-    std::vector<RunRecord> shard_records;
+    std::vector<std::vector<RunRecord>> shard_records;
     for (std::uint64_t s = 0; s < 3; ++s) {
       CampaignConfig shard = config;
       shard.shard_index = s;
       shard.shard_count = 3;
       Campaign worker(spec, shard);
-      const CampaignResult part = worker.Run();
-      shard_records.insert(shard_records.end(), part.records.begin(),
-                           part.records.end());
+      shard_records.push_back(worker.Run().records);
     }
     MergePlan plan;
     plan.app = "clamr";
     plan.runs = config.runs;
     plan.seed = config.seed;
-    const CampaignResult merged = MergeShardRecords(plan, shard_records);
+    const CampaignResult merged = MergeInMemory(plan, shard_records);
     ExpectSameRecords(merged.records, want);
     EXPECT_EQ(merged.Render("clamr"), want_report);
   }
@@ -278,7 +298,7 @@ TEST(CheckpointDrivers, WeightedStopCiStopsAtTheSamePointOnEveryDriver) {
   // The oracle: every planned trial booted on a fresh engine, cut at the
   // stop point by the same rule the merge applies.
   const CampaignResult want =
-      MergeShardRecords(plan, FreshEngineRecords(spec, config));
+      MergeInMemory(plan, {FreshEngineRecords(spec, config)});
   ASSERT_TRUE(want.stopped_early) << "the stop rule must fire for this test";
   const std::string want_report = want.Render("kmeans");
   const auto expect_oracle = [&](const CampaignResult& got) {
@@ -303,17 +323,15 @@ TEST(CheckpointDrivers, WeightedStopCiStopsAtTheSamePointOnEveryDriver) {
   }
   {
     SCOPED_TRACE("3 shards");
-    std::vector<RunRecord> shard_records;
+    std::vector<std::vector<RunRecord>> shard_records;
     for (std::uint64_t s = 0; s < 3; ++s) {
       CampaignConfig shard = config;
       shard.shard_index = s;
       shard.shard_count = 3;
       Campaign worker(spec, shard);
-      const CampaignResult part = worker.Run();
-      shard_records.insert(shard_records.end(), part.records.begin(),
-                           part.records.end());
+      shard_records.push_back(worker.Run().records);
     }
-    expect_oracle(MergeShardRecords(plan, shard_records));
+    expect_oracle(MergeInMemory(plan, shard_records));
   }
   {
     SCOPED_TRACE("mid-campaign resume");

@@ -1,14 +1,15 @@
 // Tests for src/campaign/fleet and the sharded-campaign machinery: the
-// shard partition must be disjoint and complete, MergeShardRecords must
+// shard partition must be disjoint and complete, MergeShardStreams must
 // reproduce an unsharded run byte for byte (uniform, sampled, and
-// early-stopped plans, straight from memory or round-tripped through the
-// records CSV), the journal must refuse to resume a different shard spec,
-// and a campaign over a loopback RemoteTaintHub must match the in-process
-// hub exactly.
+// early-stopped plans, straight from memory or round-tripped through
+// per-shard CTR stores), the journal must refuse to resume a different shard
+// spec, and a campaign over a loopback RemoteTaintHub must match the
+// in-process hub exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "common/error.h"
 #include "guest/builder.h"
 #include "hub/remote/server.h"
+#include "store/ctr.h"
 
 namespace chaser::campaign {
 namespace {
@@ -122,6 +124,28 @@ apps::AppSpec AccumulatorApp(std::uint64_t iters = 50) {
   return spec;
 }
 
+/// Shard i's records as stream i of a MergeShardStreams call. The merge keeps
+/// no records, so the committed ones are collected from its sink into the
+/// returned result, where the comparisons below read them.
+CampaignResult MergeInMemory(const MergePlan& plan,
+                             const std::vector<std::vector<RunRecord>>& shards) {
+  std::vector<ShardRecordStream> streams;
+  for (const std::vector<RunRecord>& shard : shards) {
+    streams.push_back([&shard, next = std::size_t{0}](RunRecord* out) mutable {
+      if (next == shard.size()) return false;
+      *out = shard[next++];
+      return true;
+    });
+  }
+  std::vector<RunRecord> sunk;
+  CampaignResult merged = MergeShardStreams(
+      plan, std::move(streams),
+      [&sunk](const RunRecord& rec) { sunk.push_back(rec); });
+  EXPECT_TRUE(merged.records.empty()) << "a merge keeps no records";
+  merged.records = std::move(sunk);
+  return merged;
+}
+
 std::string RenderPlusCsv(const CampaignResult& result, SamplePolicy policy) {
   std::ostringstream out;
   out << result.Render("accum");
@@ -135,15 +159,13 @@ void ExpectMergeMatchesUnsharded(CampaignConfig config, std::uint64_t shards) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
-  std::vector<RunRecord> shard_records;
+  std::vector<std::vector<RunRecord>> shard_records;
   for (std::uint64_t s = 0; s < shards; ++s) {
     CampaignConfig shard_config = config;
     shard_config.shard_index = s;
     shard_config.shard_count = shards;
     Campaign worker(AccumulatorApp(), shard_config);
-    const CampaignResult partial = worker.Run();
-    shard_records.insert(shard_records.end(), partial.records.begin(),
-                         partial.records.end());
+    shard_records.push_back(worker.Run().records);
   }
 
   MergePlan plan;
@@ -152,7 +174,7 @@ void ExpectMergeMatchesUnsharded(CampaignConfig config, std::uint64_t shards) {
   plan.seed = config.seed;
   plan.sample_policy = config.sample_policy;
   plan.stop_ci = config.stop_ci;
-  const CampaignResult merged = MergeShardRecords(plan, shard_records);
+  const CampaignResult merged = MergeInMemory(plan, shard_records);
 
   EXPECT_EQ(RenderPlusCsv(merged, config.sample_policy),
             RenderPlusCsv(expected, config.sample_policy));
@@ -192,7 +214,7 @@ TEST(FleetMergeTest, ShardWorkersNeverStopEarlyThemselves) {
   EXPECT_FALSE(partial.stopped_early);
 }
 
-TEST(FleetMergeTest, MergeSurvivesTheCsvRoundTrip) {
+TEST(FleetMergeTest, MergeSurvivesTheStoreRoundTrip) {
   CampaignConfig config;
   config.runs = 60;
   config.seed = 9;
@@ -200,29 +222,49 @@ TEST(FleetMergeTest, MergeSurvivesTheCsvRoundTrip) {
   Campaign reference(AccumulatorApp(), config);
   const CampaignResult expected = reference.Run();
 
-  std::vector<RunRecord> merged_input;
+  // Each shard worker writes its records into its own CTR store, as
+  // chaser_fleet's workers do with --out; the merge streams the stores back.
+  const fs::path root = fs::temp_directory_path() / "chaser_fleet_test_stores";
+  fs::remove_all(root);
+  std::vector<std::unique_ptr<store::CtrStoreScanner>> scanners;
+  std::vector<ShardRecordStream> streams;
   for (std::uint64_t s = 0; s < 2; ++s) {
     CampaignConfig shard_config = config;
     shard_config.shard_index = s;
     shard_config.shard_count = 2;
+    store::CtrStoreInfo identity;
+    identity.campaign_seed = config.seed;
+    identity.app = "accum";
+    identity.sample_policy = config.sample_policy;
+    identity.shard_index = s;
+    identity.shard_count = 2;
+    const std::string dir = (root / ("shard-" + std::to_string(s))).string();
+    store::CtrStoreWriter writer(dir, identity);
+    shard_config.record_sink = [&writer](const RunRecord& rec) {
+      writer.Add(rec);
+    };
     Campaign worker(AccumulatorApp(), shard_config);
-    const CampaignResult partial = worker.Run();
-    // Round-trip this shard's records through the CSV codec, as
-    // chaser_fleet does with the workers' --out files.
-    std::stringstream csv;
-    WriteRecordsCsv(partial.records, csv, config.sample_policy);
-    const std::vector<RunRecord> reread = ReadRecordsCsv(csv);
-    merged_input.insert(merged_input.end(), reread.begin(), reread.end());
+    worker.Run();
+    writer.Finish();
+    scanners.push_back(std::make_unique<store::CtrStoreScanner>(dir));
+    streams.push_back([s = scanners.back().get()](RunRecord* out) {
+      return s->Next(out);
+    });
   }
   MergePlan plan;
   plan.app = "accum";
   plan.runs = config.runs;
   plan.seed = config.seed;
   plan.sample_policy = config.sample_policy;
-  const CampaignResult merged = MergeShardRecords(plan, merged_input);
+  std::vector<RunRecord> sunk;
+  CampaignResult merged = MergeShardStreams(
+      plan, std::move(streams),
+      [&sunk](const RunRecord& rec) { sunk.push_back(rec); });
+  merged.records = std::move(sunk);
   EXPECT_EQ(RenderPlusCsv(merged, config.sample_policy),
             RenderPlusCsv(expected, config.sample_policy))
-      << "the %.17g sample_weight round-trip must keep estimator floats exact";
+      << "the store's sample_weight bits must keep estimator floats exact";
+  fs::remove_all(root);
 }
 
 TEST(FleetMergeTest, DuplicateAndMissingSeedsAreConfigErrors) {
@@ -236,13 +278,21 @@ TEST(FleetMergeTest, DuplicateAndMissingSeedsAreConfigErrors) {
   plan.runs = config.runs;
   plan.seed = config.seed;
 
-  std::vector<RunRecord> twice = result.records;
-  twice.insert(twice.end(), result.records.begin(), result.records.end());
-  EXPECT_THROW(MergeShardRecords(plan, twice), ConfigError);
+  // A stream that repeats a trial: each record yielded twice.
+  std::vector<RunRecord> twice;
+  for (const RunRecord& rec : result.records) {
+    twice.push_back(rec);
+    twice.push_back(rec);
+  }
+  EXPECT_THROW(MergeInMemory(plan, {twice}), ConfigError);
+  // One shard's records passed as both shards of a 2-shard plan.
+  EXPECT_THROW(MergeInMemory(plan, {result.records, result.records}),
+               ConfigError);
 
+  // A stream that runs out one trial short.
   std::vector<RunRecord> partial(result.records.begin(),
                                  result.records.end() - 1);
-  EXPECT_THROW(MergeShardRecords(plan, partial), ConfigError);
+  EXPECT_THROW(MergeInMemory(plan, {partial}), ConfigError);
 }
 
 // ---- campaign over a loopback remote hub ------------------------------------

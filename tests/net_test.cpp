@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "hub/remote/client.h"
@@ -36,10 +37,6 @@ using hub::TaintHub;
 using hub::TransferLogEntry;
 using hub::remote::HubServer;
 using hub::remote::RemoteTaintHub;
-using net::AppendFrame;
-using net::AppendVarint;
-using net::DecodeStatus;
-using net::DecodeVarint;
 using net::FrameDecoder;
 
 // ---- varint ----------------------------------------------------------------
@@ -54,7 +51,7 @@ TEST(Varint, RoundTripsBoundaryValues) {
     std::size_t pos = 0;
     std::uint64_t out = 0;
     ASSERT_EQ(DecodeVarint(buf.data(), buf.size(), &pos, &out),
-              DecodeStatus::kOk);
+              VarintStatus::kOk);
     EXPECT_EQ(out, v);
     EXPECT_EQ(pos, buf.size());
   }
@@ -67,7 +64,7 @@ TEST(Varint, TruncationIsNeedMoreNotError) {
     std::size_t pos = 0;
     std::uint64_t out = 0;
     EXPECT_EQ(DecodeVarint(buf.data(), len, &pos, &out),
-              DecodeStatus::kNeedMore);
+              VarintStatus::kNeedMore);
     EXPECT_EQ(pos, 0u) << "pos must stay put for a retry";
   }
 }
@@ -77,14 +74,60 @@ TEST(Varint, RunawayContinuationIsMalformed) {
   std::size_t pos = 0;
   std::uint64_t out = 0;
   EXPECT_EQ(DecodeVarint(buf.data(), buf.size(), &pos, &out),
-            DecodeStatus::kMalformed);
+            VarintStatus::kMalformed);
+}
+
+// A peer must send the canonical encoding AppendVarint emits. Each case
+// below spells the frame length 2 another way; both decode paths refuse it
+// instead of taking it for 2.
+std::string FrameWithLengthPrefix(const std::string& prefix) {
+  std::string frame;
+  AppendFrame(&frame, "ok");  // 0x02 'o' 'k' CRC
+  return prefix + frame.substr(1);
+}
+
+void ExpectLengthPrefixRefused(const std::string& prefix) {
+  std::size_t pos = 0;
+  std::uint64_t out = 0;
+  EXPECT_EQ(DecodeVarint(prefix.data(), prefix.size(), &pos, &out),
+            VarintStatus::kMalformed);
+  EXPECT_EQ(pos, 0u);
+  const std::string stream = FrameWithLengthPrefix(prefix);
+  FrameDecoder dec;
+  dec.Feed(stream.data(), stream.size());
+  std::string payload;
+  EXPECT_EQ(dec.Next(&payload), FrameDecoder::Result::kError);
+}
+
+TEST(Varint, ZeroTerminalByteAfterAContinuationIsMalformed) {
+  ExpectLengthPrefixRefused(std::string("\x82\x00", 2));
+  std::size_t pos = 0;
+  std::uint64_t out = 0;
+  EXPECT_EQ(DecodeVarint("\x80\x00", 2, &pos, &out), VarintStatus::kMalformed)
+      << "{0x80, 0x00} must not alias the one-byte 0";
+}
+
+TEST(Varint, TenthByteBitsAboveBit63AreMalformed) {
+  // Bits 64 and up of a 10-byte varint would be shifted out, not decoded.
+  ExpectLengthPrefixRefused(std::string("\x82") + std::string(8, '\x80') +
+                            std::string("\x02"));
+  std::string max;
+  AppendVarint(&max, ~0ull);  // the one legal 10th byte is 0x01
+  std::size_t pos = 0;
+  std::uint64_t out = 0;
+  EXPECT_EQ(DecodeVarint(max.data(), max.size(), &pos, &out),
+            VarintStatus::kOk);
+  max.back() = '\x7f';
+  pos = 0;
+  EXPECT_EQ(DecodeVarint(max.data(), max.size(), &pos, &out),
+            VarintStatus::kMalformed);
 }
 
 TEST(Varint, ZigZagRoundTripsSignedValues) {
   const std::int64_t values[] = {0, -1, 1, -2, 1000, -1000,
                                  std::int64_t{1} << 62, -(std::int64_t{1} << 62)};
   for (const std::int64_t v : values) {
-    EXPECT_EQ(net::ZigZagDecode(net::ZigZagEncode(v)), v);
+    EXPECT_EQ(ZigZagDecode(ZigZagEncode(v)), v);
   }
 }
 
@@ -313,7 +356,7 @@ TEST_F(ServerTest, UnknownCommandGetsAnErrorFrameWithoutADrop) {
   std::uint64_t status = 0;
   ASSERT_EQ(DecodeVarint(responses[1].data(), responses[1].size(), &pos,
                          &status),
-            DecodeStatus::kOk);
+            VarintStatus::kOk);
   EXPECT_EQ(status, 1u);
   EXPECT_EQ(server_->stats().conn_errors, 0u)
       << "unknown commands are forward-compat, not protocol errors";

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/spool.h"
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
 #include "campaign/report.h"
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "store/ctr.h"
@@ -486,8 +486,8 @@ TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
 TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   // Partition records over 3 shards by index % 3 (exactly the fleet
   // partition), write each shard's store, and stream-merge: the result must
-  // render identically to the whole-file record merge, and the sink must
-  // see the global seed order.
+  // render identically to merging the same records straight from memory,
+  // and the sink must see the global seed order.
   const std::uint64_t runs = 30;
   const std::uint64_t seed = 99;
   const std::vector<std::uint64_t> seeds =
@@ -512,8 +512,15 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
   plan.app = "accum";
   plan.runs = runs;
   plan.seed = seed;
+  std::size_t next = 0;
+  std::vector<campaign::ShardRecordStream> in_memory;
+  in_memory.push_back([&](RunRecord* out) {
+    if (next == all.size()) return false;
+    *out = all[next++];
+    return true;
+  });
   const campaign::CampaignResult by_records =
-      campaign::MergeShardRecords(plan, all);
+      campaign::MergeShardStreams(plan, std::move(in_memory));
 
   std::vector<std::unique_ptr<CtrStoreScanner>> scanners;
   std::vector<campaign::ShardRecordStream> streams;
@@ -529,6 +536,7 @@ TEST(CtrExport, ShardStreamMergeMatchesRecordMerge) {
       [&](const RunRecord& r) { sink_seeds.push_back(r.run_seed); });
   EXPECT_EQ(by_streams.Render("accum"), by_records.Render("accum"));
   EXPECT_EQ(sink_seeds, seeds);
+  EXPECT_TRUE(by_streams.records.empty()) << "a merge keeps no records";
 }
 
 // ---- Query engine ------------------------------------------------------------
@@ -577,11 +585,9 @@ TEST(CtrQuery, WhereParserRejectsUnknownKeysAndValues) {
   EXPECT_EQ(*f.inject_class, guest::InstrClass::kFadd);
 }
 
-// ---- Varint hardening (spool codec regression) -------------------------------
+// ---- Varint hardening (common/codec.h regression) -------------------------------
 
 TEST(VarintCodec, RejectsOverlongEncodings) {
-  using analysis::AppendVarint;
-  using analysis::DecodeVarint;
   // Canonical encodings round-trip.
   for (const std::uint64_t v :
        {0ull, 1ull, 127ull, 128ull, 300ull, ~0ull, 1ull << 62}) {

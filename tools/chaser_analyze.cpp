@@ -1,8 +1,10 @@
 // chaser_analyze — offline propagation analysis over trial trace spools.
 //
 //   chaser_analyze summarize  <spool>            # counts, spread order, transfers
-//   chaser_analyze summarize  <records.csv>...   # outcome rates + Wilson CIs
+//   chaser_analyze summarize  <store>            # outcome rates + Wilson CIs
+//   chaser_analyze summarize  <records.csv>...   # the same, over records CSVs
 //                                                # (several CSVs merge)
+//   chaser_analyze export-csv <store> [--out F]  # store -> records CSV
 //   chaser_analyze timeline   <spool> [--csv]    # Fig. 7 tainted-bytes curve
 //   chaser_analyze graph-dot  <spool>            # Graphviz DOT of the graph
 //   chaser_analyze root-cause <spool> [--rank R --fd F --offset N]
@@ -12,8 +14,9 @@
 // CampaignConfig::spool_dir, or examples/post_analysis) — or a campaign
 // spool directory holding trial-<seed>/ subdirectories, selected with
 // --trial SEED (defaulting to the only trial if there is exactly one).
-// `summarize` also accepts a records CSV written by chaser_run --out: it
-// then reports the weighted outcome-rate estimates with their 95% Wilson
+// `summarize` also accepts the CTR store written by chaser_run --out, or a
+// records CSV (from export-csv, or written by an older chaser_run): it then
+// reports the weighted outcome-rate estimates with their 95% Wilson
 // intervals (sample_weight-aware, so sampled campaigns are unbiased).
 // --json switches summarize/timeline/root-cause to JSON; --out FILE writes
 // to a file instead of stdout.
@@ -53,18 +56,19 @@ void Usage() {
       "\n"
       "subcommands:\n"
       "  summarize    graph/transfer summary, first contamination, spread order;\n"
-      "               given records CSV file(s) instead of a spool dir: outcome\n"
-      "               rates with 95%% Wilson intervals (weight-aware); several\n"
-      "               CSVs — e.g. fleet shard outputs — merge into one estimate\n"
-      "               (overlapping trial seeds are an error); given a CTR store\n"
-      "               (chaser_run --records-format ctr): the same estimates,\n"
-      "               streamed column-wise\n"
+      "               given a CTR store (chaser_run --out) instead of a spool\n"
+      "               dir: outcome rates with 95%% Wilson intervals (weight-\n"
+      "               aware), streamed column-wise; given records CSV file(s)\n"
+      "               (export-csv output, or legacy chaser_run CSVs): the same\n"
+      "               estimates, several CSVs merged into one (overlapping\n"
+      "               trial seeds are an error)\n"
       "  query        filter/aggregate a CTR trial store in one streaming pass:\n"
       "               --where outcome=sdc,injector=stuckat equality filters,\n"
       "               --group-by outcome|injector|fault_class|inject_class|rank,\n"
       "               --top-k N hottest injection sites (pc x instr class)\n"
-      "  export-csv   stream a CTR store back out as a records CSV,\n"
-      "               byte-identical to chaser_run --out for the same trials\n"
+      "  export-csv   stream a CTR store out as a records CSV (v4, v5 for\n"
+      "               sampled campaigns, v6 with a non-default injector) —\n"
+      "               the only way the tools produce one\n"
       "  timeline     tainted-bytes-over-time curve (Fig. 7)\n"
       "  graph-dot    propagation graph as Graphviz DOT\n"
       "  root-cause   walk a corrupted output byte back to the injection\n"
@@ -416,6 +420,11 @@ std::string SummarizeCtrStore(const std::string& path, bool json) {
     std::fprintf(stderr,
                  "chaser_analyze: warning: store '%s' has a torn tail (its "
                  "writer died); summarizing the intact prefix\n",
+                 path.c_str());
+  } else if (!scanner.sealed()) {
+    std::fprintf(stderr,
+                 "chaser_analyze: warning: store '%s' is not sealed (its "
+                 "writer never finished); summarizing the records it holds\n",
                  path.c_str());
   }
   const store::CtrStoreInfo& info = scanner.info();
@@ -811,6 +820,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "chaser_analyze: warning: store '%s' has a torn tail "
                      "(its writer died); exported the intact prefix\n",
+                     dir.c_str());
+      } else if (!stats.sealed) {
+        std::fprintf(stderr,
+                     "chaser_analyze: warning: store '%s' is not sealed (its "
+                     "writer never finished); exported the records it holds\n",
                      dir.c_str());
       }
       return 0;

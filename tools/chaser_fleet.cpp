@@ -11,12 +11,12 @@
 //   chaser_fleet run --app matvec --runs 400 --seed 7 --shards 2
 //       --dir /tmp/fleet --spawn-hub 1
 //
-// `chaser_fleet merge` is the offline half: given the per-shard records
-// CSVs and the campaign plan, it re-derives the merged report without
-// running anything.
+// `chaser_fleet merge` is the offline half: given the per-shard CTR stores
+// and the campaign plan, it re-derives the merged report without running
+// anything.
 //
 //   chaser_fleet merge --app matvec --runs 400 --seed 7
-//       --report /tmp/report.txt a.csv b.csv
+//       --report /tmp/report.txt shard-0.ctr shard-1.ctr
 //
 // Hosts file: one line per shard. Only "local" (run the worker as a child
 // process) is supported today; the file format exists so a future transport
@@ -41,7 +41,6 @@
 
 #include "campaign/campaign.h"
 #include "campaign/fleet.h"
-#include "campaign/report.h"
 #include "common/error.h"
 #include "common/fileio.h"
 #include "common/strings.h"
@@ -57,13 +56,14 @@ using namespace chaser;
 void Usage() {
   std::printf(
       "usage: chaser_fleet run   --app APP --dir DIR [options]\n"
-      "       chaser_fleet merge --app APP --runs N --seed S [options] CSV...\n"
+      "       chaser_fleet merge --app APP --runs N --seed S [options] STORE...\n"
       "       chaser_fleet trace-merge --out FILE TRACE.json...\n"
       "\n"
       "run options:\n"
       "  --app NAME          campaign app (as chaser_run --app)\n"
-      "  --dir DIR           working directory for per-shard journals, CSVs,\n"
-      "                      logs, status files, and the merged outputs\n"
+      "  --dir DIR           working directory for per-shard journals, CTR\n"
+      "                      stores (shard-<i>.ctr/), logs, status files, and\n"
+      "                      the merged outputs (merged.ctr/, report.txt)\n"
       "  --runs N            total trials across all shards (default 200)\n"
       "  --seed N            campaign seed (default 1)\n"
       "  --shards K          worker count (default 2)\n"
@@ -83,10 +83,6 @@ void Usage() {
       "  --hubd BIN          chaser_hubd binary (default: sibling)\n"
       "  --restarts N        max restarts per crashed shard (default 2); a\n"
       "                      restarted shard resumes from its journal\n"
-      "  --records-format F  per-shard record storage (default csv): csv, or\n"
-      "                      ctr for columnar CTR stores (shard-<i>.ctr/); the\n"
-      "                      merge then streams shard stores record-by-record\n"
-      "                      into DIR/merged.ctr instead of loading CSVs whole\n"
       "  --obs 0|1           observability plane (default 0): every worker and\n"
       "                      spawned hubd serves /metrics + /status + /healthz\n"
       "                      on an ephemeral port, fleet-status.json gains the\n"
@@ -94,11 +90,11 @@ void Usage() {
       "                      files as fallback), workers write Chrome traces,\n"
       "                      and the traces merge into DIR/fleet-trace.json\n"
       "\n"
-      "merge options (inputs: records CSVs, or CTR store dirs — not mixed):\n"
+      "merge options (inputs: one CTR store per shard, streamed record by\n"
+      "record; records CSVs are export-only and are refused):\n"
       "  --runs/--seed/--sample/--stop-ci   the plan every shard ran\n"
-      "  --out FILE          write the merged records: a CSV for CSV inputs, a\n"
-      "                      merged CTR store for CTR inputs (export a CSV\n"
-      "                      with chaser_analyze export-csv)\n"
+      "  --out DIR           write the merged records as one CTR store (export\n"
+      "                      a CSV with chaser_analyze export-csv)\n"
       "  --report FILE       write the merged report (also printed)\n"
       "\n"
       "trace-merge: stitch per-process Chrome traces (chaser_run --trace-out)\n"
@@ -217,12 +213,6 @@ HubProc SpawnHub(const std::string& hubd_bin, bool obs) {
   return hub;
 }
 
-std::vector<campaign::RunRecord> ReadRecordsFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open records CSV '" + path + "'");
-  return campaign::ReadRecordsCsv(in);
-}
-
 void RenderAndWriteReport(const campaign::CampaignResult& result,
                           const campaign::MergePlan& plan,
                           const std::string& report_path) {
@@ -239,7 +229,7 @@ void RenderAndWriteReport(const campaign::CampaignResult& result,
 /// pulled round-robin through MergeShardStreams, and optionally re-emitted
 /// as one merged CTR store. The merged result is byte-identical to the
 /// unsharded run's — same reduction loop, same seed order.
-campaign::CampaignResult MergeStoresAndWrite(
+void MergeStoresAndWrite(
     const campaign::MergePlan& plan, const std::vector<std::string>& paths,
     const std::string& out_path, const std::string& report_path) {
   // Order the streams by each store's self-declared shard index —
@@ -247,6 +237,11 @@ campaign::CampaignResult MergeStoresAndWrite(
   // t % N == i, whatever order the paths were given in.
   std::vector<std::unique_ptr<store::CtrStoreScanner>> scanners(paths.size());
   for (const std::string& path : paths) {
+    if (!store::IsCtrStorePath(path)) {
+      throw ConfigError("merge: '" + path +
+                        "' is not a CTR store (records CSVs are export-only; "
+                        "merge the shards' --out stores)");
+    }
     auto scanner = std::make_unique<store::CtrStoreScanner>(path);
     const store::CtrStoreInfo& info = scanner->info();
     if (info.campaign_seed != plan.seed || info.app != plan.app ||
@@ -268,8 +263,9 @@ campaign::CampaignResult MergeStoresAndWrite(
     }
     if (scanners[static_cast<std::size_t>(info.shard_index)] != nullptr) {
       throw ConfigError(StrFormat(
-          "merge: two stores claim shard %llu — a store was passed twice",
-          static_cast<unsigned long long>(info.shard_index)));
+          "merge: two stores claim shard %llu (the second is '%s') — a "
+          "store was passed twice",
+          static_cast<unsigned long long>(info.shard_index), path.c_str()));
     }
     if (scanner->truncated()) {
       std::fprintf(stderr,
@@ -297,7 +293,7 @@ campaign::CampaignResult MergeStoresAndWrite(
     merged = std::make_unique<store::CtrStoreWriter>(out_path, identity);
     sink = [w = merged.get()](const campaign::RunRecord& rec) { w->Add(rec); };
   }
-  campaign::CampaignResult result =
+  const campaign::CampaignResult result =
       campaign::MergeShardStreams(plan, std::move(streams), sink);
   if (merged != nullptr) {
     merged->Finish();
@@ -306,41 +302,6 @@ campaign::CampaignResult MergeStoresAndWrite(
                 out_path.c_str());
   }
   RenderAndWriteReport(result, plan, report_path);
-  return result;
-}
-
-/// Merge shard records, render, and write the merged artifacts. CTR-store
-/// inputs take the streaming path; CSVs are loaded whole, as before.
-campaign::CampaignResult MergeAndWrite(const campaign::MergePlan& plan,
-                                       const std::vector<std::string>& inputs,
-                                       const std::string& out_path,
-                                       const std::string& report_path) {
-  std::size_t n_stores = 0;
-  for (const std::string& path : inputs) {
-    if (store::IsCtrStorePath(path)) ++n_stores;
-  }
-  if (n_stores == inputs.size()) {
-    return MergeStoresAndWrite(plan, inputs, out_path, report_path);
-  }
-  if (n_stores != 0) {
-    throw ConfigError(
-        "merge: inputs mix CTR stores and records CSVs — pass one kind");
-  }
-  std::vector<campaign::RunRecord> all;
-  for (const std::string& path : inputs) {
-    std::vector<campaign::RunRecord> recs = ReadRecordsFile(path);
-    all.insert(all.end(), recs.begin(), recs.end());
-  }
-  campaign::CampaignResult result = campaign::MergeShardRecords(plan, all);
-  if (!out_path.empty()) {
-    std::ostringstream csv;
-    campaign::WriteRecordsCsv(result.records, csv, plan.sample_policy);
-    WriteFileAtomic(out_path, csv.str());
-    std::printf("wrote %zu merged records to %s\n", result.records.size(),
-                out_path.c_str());
-  }
-  RenderAndWriteReport(result, plan, report_path);
-  return result;
 }
 
 /// GET `path` from an "H:P" scrape endpoint; "" on any failure (the caller
@@ -481,7 +442,6 @@ int RunFleet(int argc, char** argv) {
   std::uint64_t jobs = 1;
   std::uint64_t spawn_hubs = 0;
   std::uint64_t max_restarts = 2;
-  std::string records_format = "csv";
   bool obs = false;
 
   for (int i = 2; i < argc; ++i) {
@@ -522,12 +482,6 @@ int RunFleet(int argc, char** argv) {
       spawn_hubs = ArgNum(argc, argv, i, "--spawn-hub");
     } else if (a == "--restarts") {
       max_restarts = ArgNum(argc, argv, i, "--restarts");
-    } else if (a == "--records-format") {
-      records_format = ArgStr(argc, argv, i, "--records-format");
-      if (records_format != "csv" && records_format != "ctr") {
-        throw ConfigError("bad --records-format '" + records_format +
-                          "' (csv|ctr)");
-      }
     } else if (a == "--obs") {
       obs = ArgNum(argc, argv, i, "--obs") != 0;
     } else if (a == "--help" || a == "-h") {
@@ -597,7 +551,6 @@ int RunFleet(int argc, char** argv) {
     hub_arg += ep;
   }
 
-  const bool ctr = records_format == "ctr";
   const auto worker_args = [&](std::uint64_t i) {
     const std::string base = dir + "/shard-" + std::to_string(i);
     std::vector<std::string> args = {
@@ -608,8 +561,7 @@ int RunFleet(int argc, char** argv) {
         "--shard", std::to_string(i) + "/" + std::to_string(shards),
         "--jobs", std::to_string(jobs),
         "--resume", base + ".journal",
-        "--out", base + (ctr ? ".ctr" : ".csv"),
-        "--records-format", records_format,
+        "--out", base + ".ctr",
         "--status", base + ".status.json",
         "--report", base + ".report",
     };
@@ -698,11 +650,9 @@ int RunFleet(int argc, char** argv) {
   plan.app = app;
   std::vector<std::string> inputs;
   for (std::uint64_t i = 0; i < shards; ++i) {
-    inputs.push_back(dir + "/shard-" + std::to_string(i) +
-                     (ctr ? ".ctr" : ".csv"));
+    inputs.push_back(dir + "/shard-" + std::to_string(i) + ".ctr");
   }
-  MergeAndWrite(plan, inputs, dir + (ctr ? "/merged.ctr" : "/merged.csv"),
-                dir + "/report.txt");
+  MergeStoresAndWrite(plan, inputs, dir + "/merged.ctr", dir + "/report.txt");
   return 0;
 }
 
@@ -740,7 +690,7 @@ int RunMerge(int argc, char** argv) {
   plan.runs = 200;
   plan.seed = 1;
   std::string out_path, report_path;
-  std::vector<std::string> csvs;
+  std::vector<std::string> stores;
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -770,14 +720,14 @@ int RunMerge(int argc, char** argv) {
     } else if (!a.empty() && a[0] == '-') {
       throw ConfigError("unknown flag '" + a + "'");
     } else {
-      csvs.push_back(a);
+      stores.push_back(a);
     }
   }
-  if (plan.app.empty() || csvs.empty()) {
+  if (plan.app.empty() || stores.empty()) {
     Usage();
     return 2;
   }
-  MergeAndWrite(plan, csvs, out_path, report_path);
+  MergeStoresAndWrite(plan, stores, out_path, report_path);
   return 0;
 }
 

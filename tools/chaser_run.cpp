@@ -2,20 +2,20 @@
 //
 // The productised entry point a user reaches for first:
 //
-//   chaser_run --app clamr --runs 500 --seed 7 --out /tmp/clamr.csv
+//   chaser_run --app clamr --runs 500 --seed 7 --out /tmp/clamr.ctr
 //   chaser_run --app matvec --runs 1000 --inject-ranks 0 --no-trace
 //   chaser_run --app lud --runs 200 --bits 1-3 --jobs 4
 //
 // Runs the campaign (golden run + N injection trials), prints the outcome
-// distribution and termination breakdown, and optionally writes the per-run
-// records to CSV for offline analysis (see campaign/report.h).
+// distribution and termination breakdown, and optionally streams the per-run
+// records into a columnar CTR store for offline analysis (store/ctr.h;
+// `chaser_analyze export-csv` turns a store into a records CSV).
 //
 // Trials are seed-independent, so they fan out across --jobs worker threads
 // (campaign/campaign.h); the result is bit-identical for the same seed no
 // matter the --jobs value.
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,8 +77,8 @@ void Usage() {
       "                                    rest of the trial\n"
       "                        iskip       squash the targeted instruction\n"
       "                        rank-crash  kill the injected rank mid-run\n"
-      "                      non-default injectors stamp the records CSV (v6)\n"
-      "                      with injector and fault-class columns\n"
+      "                      non-default injectors add injector and fault-class\n"
+      "                      columns to the exported records CSV (v6)\n"
       "  --hub-fault-trigger SPEC\n"
       "                      like --hub-fault, but armed per trial: the model\n"
       "                      runs only inside each trial window (seeded from\n"
@@ -86,16 +86,14 @@ void Usage() {
       "  --no-trace          disable fault-propagation tracing\n"
       "  --spool DIR         stream each trial's full trace to DIR/trial-<seed>/\n"
       "                      (no event cap; inspect with chaser_analyze)\n"
-      "  --out FILE          write per-run records as CSV (atomic: written to\n"
-      "                      FILE.tmp and renamed into place)\n"
-      "  --records-format F  how --out stores the records (default csv):\n"
-      "                        csv  one records CSV, as before\n"
-      "                        ctr  columnar CTR store (a directory of\n"
-      "                             seg-*.ctr segments, ~10x smaller, written\n"
-      "                             as trials commit); inspect with\n"
-      "                             chaser_analyze query / export-csv. With\n"
-      "                             --resume, a killed run's store resumes in\n"
-      "                             place alongside the journal\n"
+      "  --out DIR           stream per-run records into a columnar CTR store\n"
+      "                      (a directory of seg-*.ctr segments, written as\n"
+      "                      trials commit); inspect with chaser_analyze\n"
+      "                      query / summarize, or turn it into a records CSV\n"
+      "                      with chaser_analyze export-csv. With --resume, a\n"
+      "                      killed run's store resumes in place alongside\n"
+      "                      the journal; without it, a killed run leaves an\n"
+      "                      unsealed store that readers warn about\n"
       "  --resume FILE       journal completed trials to FILE and, if it already\n"
       "                      holds trials from a killed run of this same campaign,\n"
       "                      replay them and execute only the missing seeds\n"
@@ -124,7 +122,7 @@ void Usage() {
       "  --report FILE       atomically write the rendered campaign report to\n"
       "                      FILE (the same text printed to stdout)\n"
       "\n"
-      "observability (reports/CSVs/spools are byte-identical with these on or\n"
+      "observability (reports/stores/spools are byte-identical with these on or\n"
       "off — telemetry only observes):\n"
       "  --trace-out FILE    write a Chrome trace-event JSON (one tid per\n"
       "                      worker, spans per trial and per phase); open in\n"
@@ -185,7 +183,6 @@ int main(int argc, char** argv) {
   config.runs = 200;
   config.seed = 1;
   std::string out_path;
-  std::string records_format = "csv";
   std::string report_path;
   bool inject_ranks_given = false;
   std::uint64_t jobs = 0;  // 0 = hardware concurrency
@@ -279,15 +276,6 @@ int main(int argc, char** argv) {
       } else if (a == "--out") {
         if (i + 1 >= argc) throw ConfigError("missing value for --out");
         out_path = argv[++i];
-      } else if (a == "--records-format") {
-        if (i + 1 >= argc) {
-          throw ConfigError("missing value for --records-format");
-        }
-        records_format = argv[++i];
-        if (records_format != "csv" && records_format != "ctr") {
-          throw ConfigError("bad --records-format '" + records_format +
-                            "' (csv|ctr)");
-        }
       } else if (a == "--trace-out") {
         if (i + 1 >= argc) throw ConfigError("missing value for --trace-out");
         obs_options.trace_path = argv[++i];
@@ -389,7 +377,7 @@ int main(int argc, char** argv) {
     // campaign's seed-order commit, journal-replayed trials included), so a
     // killed run leaves a valid store prefix to resume from.
     std::unique_ptr<store::CtrStoreWriter> store_writer;
-    if (!out_path.empty() && records_format == "ctr") {
+    if (!out_path.empty()) {
       store::CtrStoreInfo identity;
       identity.campaign_seed = config.seed;
       identity.app = app_name;
@@ -485,14 +473,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(store_writer->segments()),
                   store_writer->segments() == 1 ? "" : "s",
                   static_cast<unsigned long long>(store_writer->stored()));
-    } else if (!out_path.empty()) {
-      // Atomic: a crash mid-write must never leave a half-written CSV where
-      // a previous complete report used to be.
-      std::ostringstream csv;
-      campaign::WriteRecordsCsv(result.records, csv, config.sample_policy);
-      WriteFileAtomic(out_path, csv.str());
-      std::printf("wrote %zu records to %s\n", result.records.size(),
-                  out_path.c_str());
     }
     if (!obs_options.trace_path.empty()) {
       std::printf("wrote Chrome trace to %s (chrome://tracing, Perfetto)\n",

@@ -2,10 +2,10 @@
 # fleet_smoke.sh — end-to-end smoke test for the sharded fleet pipeline.
 #
 # Proves the whole chain — chaser_hubd, two `chaser_run --shard` workers
-# publishing taint through it, a SIGKILL mid-run, a journal resume, and the
-# chaser_fleet merge — reproduces an unsharded single-process run byte for
-# byte (records CSV and report). Companion to kill_resume_smoke.sh, one
-# layer up the stack.
+# publishing taint through it into per-shard CTR stores, a SIGKILL mid-run,
+# a journal resume, and the chaser_fleet merge — reproduces an unsharded
+# single-process run byte for byte (CTR store, its exported records CSV, and
+# report). Companion to kill_resume_smoke.sh, one layer up the stack.
 #
 # usage: tools/fleet_smoke.sh [path/to/build/tools]
 #
@@ -16,11 +16,12 @@ TOOLS="${1:-build/tools}"
 RUN="$TOOLS/chaser_run"
 HUBD="$TOOLS/chaser_hubd"
 FLEET="$TOOLS/chaser_fleet"
+ANALYZE="$TOOLS/chaser_analyze"
 APP=matvec
 RUNS=80
 SEED=20260807
 
-for bin in "$RUN" "$HUBD" "$FLEET"; do
+for bin in "$RUN" "$HUBD" "$FLEET" "$ANALYZE"; do
   if [[ ! -x "$bin" ]]; then
     echo "fleet_smoke: binary not found at '$bin'" >&2
     echo "  build first (cmake --build build) or pass the tools dir" >&2
@@ -34,7 +35,7 @@ trap '[[ -n "$HUB_PID" ]] && kill "$HUB_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
 echo "== reference: unsharded single-process campaign ($RUNS trials)"
 "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/ref.csv" --report "$WORK/ref.report" \
+       --out "$WORK/ref.ctr" --report "$WORK/ref.report" \
        >"$WORK/ref.log" 2>&1 || {
   echo "fleet_smoke: FAIL (reference run crashed; see $WORK/ref.log)"; exit 1; }
 
@@ -55,13 +56,13 @@ echo "   hub at $ENDPOINT"
 shard() {  # shard <i> [exec] -> runs shard i/2 against the hub, journaled
   # "exec" replaces the (background) subshell with chaser_run, so that $!
   # is the worker itself: a SIGKILL to a function's subshell would leave
-  # the worker running, racing the resume for the journal and --out file.
+  # the worker running, racing the resume for the journal and its store.
   local i="$1" launch=()
   [[ "${2:-}" == exec ]] && launch=(exec)
   "${launch[@]}" "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
          --shard "$i/2" --hub "$ENDPOINT" \
          --resume "$WORK/shard-$i.journal" \
-         --out "$WORK/shard-$i.csv"
+         --out "$WORK/shard-$i.ctr"
 }
 
 echo "== shards: worker 0 runs clean; worker 1 is SIGKILLed mid-run"
@@ -88,16 +89,26 @@ shard 1 >"$WORK/shard-1.resume.log" 2>&1 || {
   echo "fleet_smoke: FAIL (shard 1 resume crashed; see $WORK/shard-1.resume.log)"
   exit 1; }
 
-echo "== merge: chaser_fleet merge over both shard CSVs"
+echo "== merge: chaser_fleet merge streams both shard stores"
 "$FLEET" merge --app "$APP" --runs "$RUNS" --seed "$SEED" \
-         --out "$WORK/merged.csv" --report "$WORK/merged.report" \
-         "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
+         --out "$WORK/merged.ctr" --report "$WORK/merged.report" \
+         "$WORK/shard-0.ctr" "$WORK/shard-1.ctr" \
          >"$WORK/merge.log" 2>&1 || {
   echo "fleet_smoke: FAIL (merge crashed; see $WORK/merge.log)"; exit 1; }
 
 fail=0
+if ! diff -r "$WORK/ref.ctr" "$WORK/merged.ctr" >/dev/null; then
+  echo "fleet_smoke: FAIL — merged store differs from the unsharded reference"
+  diff -rq "$WORK/ref.ctr" "$WORK/merged.ctr" | head -10
+  fail=1
+fi
+for store in ref merged shard-0 shard-1; do
+  "$ANALYZE" export-csv "$WORK/$store.ctr" --out "$WORK/$store.csv" \
+      >"$WORK/$store.export.log" 2>&1 || {
+    echo "fleet_smoke: FAIL (export-csv of $store.ctr crashed)"; exit 1; }
+done
 if ! diff -q "$WORK/ref.csv" "$WORK/merged.csv" >/dev/null; then
-  echo "fleet_smoke: FAIL — merged CSV differs from the unsharded reference"
+  echo "fleet_smoke: FAIL — merged CSV export differs from the unsharded reference"
   diff "$WORK/ref.csv" "$WORK/merged.csv" | head -20
   fail=1
 fi
@@ -107,16 +118,13 @@ if ! diff -q "$WORK/ref.report" "$WORK/merged.report" >/dev/null; then
   fail=1
 fi
 
-echo "== analyze: chaser_analyze summarize merges both shard CSVs"
-ANALYZE="$TOOLS/chaser_analyze"
-if [[ -x "$ANALYZE" ]]; then
-  "$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
-      >"$WORK/summary.txt" 2>&1 || {
-    echo "fleet_smoke: FAIL (chaser_analyze summarize crashed)"; fail=1; }
-  grep -q "$RUNS records" "$WORK/summary.txt" || {
-    echo "fleet_smoke: FAIL — summarize did not see all $RUNS records"
-    head -5 "$WORK/summary.txt"; fail=1; }
-fi
+echo "== analyze: chaser_analyze summarize merges both exported shard CSVs"
+"$ANALYZE" summarize "$WORK/shard-0.csv" "$WORK/shard-1.csv" \
+    >"$WORK/summary.txt" 2>&1 || {
+  echo "fleet_smoke: FAIL (chaser_analyze summarize crashed)"; fail=1; }
+grep -q "$RUNS records" "$WORK/summary.txt" || {
+  echo "fleet_smoke: FAIL — summarize did not see all $RUNS records"
+  head -5 "$WORK/summary.txt"; fail=1; }
 
 kill "$HUB_PID" 2>/dev/null
 wait "$HUB_PID" 2>/dev/null

@@ -2,9 +2,10 @@
 # injector_smoke.sh — smoke test for every registered fault injector.
 #
 # Runs a short matvec campaign through `chaser_run --injector NAME` for each
-# bundled fault family, checks the campaign exits cleanly, that custom
-# injectors stamp their identity into a records CSV v6, and that the default
-# family's output stays on the v4 wire format (the byte-identity guarantee).
+# bundled fault family into a CTR store, checks the campaign exits cleanly,
+# that custom injectors stamp their identity into the store's exported
+# records CSV (v6), and that the default family's export stays on the v4
+# wire format (the byte-identity guarantee).
 # Companion to fleet_smoke.sh, one subsystem over.
 #
 # usage: tools/injector_smoke.sh [path/to/build/tools]
@@ -14,15 +15,27 @@ set -u
 
 TOOLS="${1:-build/tools}"
 RUN="$TOOLS/chaser_run"
+ANALYZE="$TOOLS/chaser_analyze"
 APP=matvec
 RUNS=12
 SEED=20260807
 
-if [[ ! -x "$RUN" ]]; then
-  echo "injector_smoke: binary not found at '$RUN'" >&2
-  echo "  build first (cmake --build build) or pass the tools dir" >&2
-  exit 1
-fi
+for bin in "$RUN" "$ANALYZE"; do
+  if [[ ! -x "$bin" ]]; then
+    echo "injector_smoke: binary not found at '$bin'" >&2
+    echo "  build first (cmake --build build) or pass the tools dir" >&2
+    exit 1
+  fi
+done
+
+campaign() {  # campaign <slug> [chaser_run flags...] -> $WORK/<slug>.csv
+  local slug="$1"
+  shift
+  "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 "$@" \
+         --out "$WORK/$slug.ctr" >"$WORK/$slug.log" 2>&1 &&
+    "$ANALYZE" export-csv "$WORK/$slug.ctr" --out "$WORK/$slug.csv" \
+               >>"$WORK/$slug.log" 2>&1
+}
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-injector-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
@@ -46,15 +59,14 @@ for spec in "${SPECS[@]}"; do
   name="${spec%%:*}"
   slug="${spec//[:,=]/_}"
   csv="$WORK/$slug.csv"
-  if ! "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --injector "$spec" --out "$csv" >"$WORK/$slug.log" 2>&1; then
+  if ! campaign "$slug" --injector "$spec"; then
     echo "injector_smoke: FAIL — '$spec' campaign crashed (see $WORK/$slug.log)"
     tail -5 "$WORK/$slug.log"
     fail=1
     continue
   fi
   if ! head -1 "$csv" | grep -q '^#chaser-records-csv v6$'; then
-    echo "injector_smoke: FAIL — '$spec' did not emit a records CSV v6"
+    echo "injector_smoke: FAIL — '$spec' did not export a records CSV v6"
     head -1 "$csv"
     fail=1
     continue
@@ -75,13 +87,12 @@ for spec in "${SPECS[@]}"; do
 done
 
 echo "== default fault model stays on the v4 wire format"
-"$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/default.csv" >"$WORK/default.log" 2>&1 || {
+campaign default || {
   echo "injector_smoke: FAIL (default campaign crashed; see $WORK/default.log)"
   fail=1; }
 if [[ -f "$WORK/default.csv" ]] &&
    ! head -1 "$WORK/default.csv" | grep -q '^#chaser-records-csv v4$'; then
-  echo "injector_smoke: FAIL — default campaign no longer emits CSV v4"
+  echo "injector_smoke: FAIL — default campaign no longer exports CSV v4"
   head -1 "$WORK/default.csv"
   fail=1
 fi

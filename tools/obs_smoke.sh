@@ -6,8 +6,9 @@
 # /healthz and /metrics on every advertised endpoint (workers + hubd) via
 # `chaser_analyze scrape`, renders one `chaser_analyze top --once` frame,
 # then checks fleet-status.json carries the rollup, fleet-trace.json is a
-# stitched Chrome trace, and — the identity guarantee — the merged CSV and
-# report are byte-identical to the dark run's. Companion to fleet_smoke.sh.
+# stitched Chrome trace, and — the identity guarantee — the merged CTR store
+# (and its exported CSV) and the report are byte-identical to the dark
+# run's. Companion to fleet_smoke.sh.
 #
 # usage: tools/obs_smoke.sh [path/to/build/tools]
 #
@@ -106,8 +107,19 @@ grep -q '"traceEvents"' "$WORK/obs/fleet-trace.json" 2>/dev/null || {
   fail=1; }
 
 echo "== identity: watched run's merged outputs == dark run's"
+if ! diff -r "$WORK/dark/merged.ctr" "$WORK/obs/merged.ctr" >/dev/null; then
+  echo "obs_smoke: FAIL — merged store differs with the plane on"
+  diff -rq "$WORK/dark/merged.ctr" "$WORK/obs/merged.ctr" | head -10
+  fail=1
+fi
+for run in dark obs; do
+  "$ANALYZE" export-csv "$WORK/$run/merged.ctr" --out "$WORK/$run/merged.csv" \
+      >"$WORK/$run.export.log" 2>&1 || {
+    echo "obs_smoke: FAIL (export-csv of the $run run's merged store crashed)"
+    fail=1; }
+done
 if ! diff -q "$WORK/dark/merged.csv" "$WORK/obs/merged.csv" >/dev/null; then
-  echo "obs_smoke: FAIL — merged CSV differs with the plane on"
+  echo "obs_smoke: FAIL — merged CSV export differs with the plane on"
   diff "$WORK/dark/merged.csv" "$WORK/obs/merged.csv" | head -20
   fail=1
 fi

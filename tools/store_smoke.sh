@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # store_smoke.sh — end-to-end smoke test for the CTR columnar trial store.
 #
-# Proves the whole columnar chain: a `chaser_run --records-format ctr`
-# campaign SIGKILLed mid-run, a journal+store resume that converges back to
-# the uninterrupted byte stream, a 3-shard fleet producing per-shard stores,
-# a streaming `chaser_fleet merge` into one merged store, and
-# `chaser_analyze query` / `export-csv` over the result — with the exported
-# CSV byte-identical to what a plain `--records-format csv` run writes.
-# Companion to fleet_smoke.sh, one storage layer down.
+# Proves the whole columnar chain: a `chaser_run --out` campaign SIGKILLed
+# mid-run, a journal+store resume that converges back to the uninterrupted
+# byte stream, a 3-shard fleet producing per-shard stores, a streaming
+# `chaser_fleet merge` into one merged store, and `chaser_analyze query` /
+# `export-csv` over the result — with every exported CSV byte-identical to
+# the records CSV chaser_run wrote for this campaign before CSV became
+# export-only (pinned below by its sha256). Companion to fleet_smoke.sh, one
+# storage layer down.
 #
 # usage: tools/store_smoke.sh [path/to/build/tools]
 #
@@ -21,6 +22,10 @@ ANALYZE="$TOOLS/chaser_analyze"
 APP=matvec
 RUNS=120
 SEED=20260807
+# sha256 of `chaser_run --app matvec --runs 120 --seed 20260807 --jobs 1
+# --out x.csv` from the last build that still wrote CSVs (records CSV v4).
+# A deliberate change to the records or the CSV format updates it.
+REF_CSV_SHA256=425dd8208a6b2872e8ec2b01921f35af9b104e6ce31f337aba28844835837fd6
 
 for bin in "$RUN" "$FLEET" "$ANALYZE"; do
   if [[ ! -x "$bin" ]]; then
@@ -33,17 +38,11 @@ done
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/chaser-store-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-echo "== reference: records CSV from an uninterrupted run ($RUNS trials)"
+echo "== reference: uninterrupted run into a CTR store ($RUNS trials)"
 "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/ref.csv" --report "$WORK/ref.report" \
-       >"$WORK/ref.log" 2>&1 || {
-  echo "store_smoke: FAIL (reference run crashed; see $WORK/ref.log)"; exit 1; }
-
-echo "== store: same campaign into a CTR store, uninterrupted"
-"$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-       --out "$WORK/clean.ctr" --records-format ctr \
+       --out "$WORK/clean.ctr" --report "$WORK/ref.report" \
        >"$WORK/clean.log" 2>&1 || {
-  echo "store_smoke: FAIL (clean store run crashed; see $WORK/clean.log)"
+  echo "store_smoke: FAIL (reference run crashed; see $WORK/clean.log)"
   exit 1; }
 
 store_run() {  # [exec] -> journaled CTR run into $WORK/kill.ctr
@@ -53,8 +52,7 @@ store_run() {  # [exec] -> journaled CTR run into $WORK/kill.ctr
   local launch=()
   [[ "${1:-}" == exec ]] && launch=(exec)
   "${launch[@]}" "$RUN" --app "$APP" --runs "$RUNS" --seed "$SEED" --jobs 1 \
-         --resume "$WORK/kill.journal" \
-         --out "$WORK/kill.ctr" --records-format ctr
+         --resume "$WORK/kill.journal" --out "$WORK/kill.ctr"
 }
 
 echo "== kill: journaled CTR run is SIGKILLed mid-campaign"
@@ -86,8 +84,7 @@ fi
 
 echo "== shards: 3-shard fleet into per-shard stores, streaming merge"
 "$FLEET" run --app "$APP" --runs "$RUNS" --seed "$SEED" --shards 3 \
-         --records-format ctr --dir "$WORK/fleet" \
-         >"$WORK/fleet.log" 2>&1 || {
+         --dir "$WORK/fleet" >"$WORK/fleet.log" 2>&1 || {
   echo "store_smoke: FAIL (fleet run crashed; see $WORK/fleet.log)"; exit 1; }
 if [[ ! -d "$WORK/fleet/merged.ctr" ]]; then
   echo "store_smoke: FAIL — fleet left no merged.ctr store"; exit 1
@@ -103,9 +100,11 @@ for store in "$WORK/clean.ctr" "$WORK/kill.ctr" "$WORK/fleet/merged.ctr"; do
   "$ANALYZE" export-csv "$store" --out "$WORK/export.csv" \
       >"$WORK/export.log" 2>&1 || {
     echo "store_smoke: FAIL (export-csv crashed on $store)"; fail=1; continue; }
-  if ! diff -q "$WORK/ref.csv" "$WORK/export.csv" >/dev/null; then
-    echo "store_smoke: FAIL — export of $store differs from the native CSV"
-    diff "$WORK/ref.csv" "$WORK/export.csv" | head -10
+  sum="$(sha256sum "$WORK/export.csv" | cut -d' ' -f1)"
+  if [[ "$sum" != "$REF_CSV_SHA256" ]]; then
+    echo "store_smoke: FAIL — export of $store differs from the reference CSV"
+    echo "   sha256 $sum, want $REF_CSV_SHA256"
+    head -3 "$WORK/export.csv"
     fail=1
   fi
 done
