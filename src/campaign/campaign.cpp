@@ -487,10 +487,13 @@ RunRecord TrialEngine::RunTrial(std::uint64_t run_seed) {
     }
   }
   try {
-    cluster_->Start(image_);
-    if (ladder_ != nullptr) {
-      EnterLadder(rec.inject_rank, rec.trigger_nth,
-                  sampled ? std::optional(rec.inject_pc) : std::nullopt);
+    {
+      const obs::ScopedPhase obs_scope(obs::Phase::kReset);
+      cluster_->Start(image_);
+      if (ladder_ != nullptr) {
+        EnterLadder(rec.inject_rank, rec.trigger_nth,
+                    sampled ? std::optional(rec.inject_pc) : std::nullopt);
+      }
     }
     const mpi::JobResult job = [&] {
       const obs::ScopedPhase obs_scope(obs::Phase::kExecute);

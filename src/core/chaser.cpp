@@ -26,7 +26,7 @@ void Chaser::Arm(InjectionCommand cmd) {
         "set profile_sites", cmd.trigger->Describe().c_str()));
   }
   cmd_ = std::move(cmd);
-  rng_ = std::make_unique<Rng>(cmd_->seed);
+  rng_.reset();
   // If the target process is already running, attach right away.
   if (vm_.program() != nullptr && vm_.run_state() != vm::RunState::kTerminated &&
       vm_.process_name() == cmd_->target_program) {
@@ -142,7 +142,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
   ++exec_count_;
   const std::uint64_t site_count =
       cmd_->profile_sites ? ++site_execs_[pc] : 0;
-  if (!trigger_->ShouldFireAt(exec_count_, pc, site_count, *rng_)) {
+  if (!trigger_->ShouldFireAt(exec_count_, pc, site_count, rng())) {
     if (trigger_->Expired()) {
       // fi_clean_cb: stop screening and flush the instrumentation out of the
       // translation cache; tracing (taint) stays on.
@@ -157,7 +157,7 @@ void Chaser::OnInjectorHelper(std::uint64_t pc) {
   fired_ = true;
   const obs::ScopedPhase obs_scope(obs::Phase::kInject);
   const guest::Instruction& instr = vm_.program()->text[pc];
-  InjectionContext ctx{vm_, pc, instr, exec_count_, vm_.instret(), *rng_, records_};
+  InjectionContext ctx{vm_, pc, instr, exec_count_, vm_.instret(), rng(), records_};
   const std::size_t before = records_.size();
   cmd_->injector->Inject(ctx);
   for (std::size_t i = before; i < records_.size(); ++i) {

@@ -108,7 +108,12 @@ class Chaser {
   const std::vector<TaintSample>& taint_timeline() const { return taint_timeline_; }
 
   vm::Vm& vm() { return vm_; }
-  Rng& rng() { return *rng_; }
+  /// The run's generator, seeded from the armed command on first use: a
+  /// trace-only rank never draws, so it never pays for seeding one.
+  Rng& rng() {
+    if (!rng_) rng_.emplace(cmd_ ? cmd_->seed : 0);
+    return *rng_;
+  }
 
   /// Per-run state of a fault-free prefix: the targeted-execution count,
   /// the per-pc site counts (empty unless the command profiles sites) and
@@ -137,7 +142,6 @@ class Chaser {
 
   std::optional<InjectionCommand> cmd_;
   std::unique_ptr<Trigger> trigger_;   // per-run clone
-  std::unique_ptr<Rng> rng_;
   bool attached_ = false;
   bool injector_active_ = false;
   bool fired_ = false;
@@ -147,6 +151,7 @@ class Chaser {
   std::vector<InjectionRecord> records_;
   TraceLog trace_log_;
   std::vector<TaintSample> taint_timeline_;
+  std::optional<Rng> rng_;  // see rng(); last, away from the hot fields
 };
 
 }  // namespace chaser::core

@@ -24,7 +24,7 @@ void TaintHub::Publish(MessageTaintRecord record) {
     // the receiver will see a definitive miss, indistinguishable from a
     // clean message (which is exactly the silent-loss mode being modelled).
     if (InOutage() || (fault_model_.publish_drop_prob > 0.0 &&
-                       fault_rng_.Bernoulli(fault_model_.publish_drop_prob))) {
+                       DropTape().Bernoulli(fault_model_.publish_drop_prob))) {
       ++stats_.publish_drops;
       AccountLoss(record);
       return;
@@ -87,7 +87,7 @@ void TaintHub::AbandonPoll(const MessageId& id) {
 
 void TaintHub::SetFaultModel(const HubFaultModel& model) {
   fault_model_ = model;
-  fault_rng_ = Rng(fault_model_.seed);
+  fault_rng_.reset();
 }
 
 std::vector<TransferLogEntry> TaintHub::transfer_log() const {
@@ -125,7 +125,7 @@ void TaintHub::Clear() {
   // drivers Clear() via MessageHooks::OnJobStart) sees the same
   // deterministic degradation, which keeps serial == parallel bit-identity.
   clock_ = 0;
-  fault_rng_ = Rng(fault_model_.seed);
+  fault_rng_.reset();
 }
 
 TaintHub::Checkpoint TaintHub::SaveCheckpoint() const {

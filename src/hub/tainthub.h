@@ -265,13 +265,20 @@ class TaintHub : public HubService {
     return clock_ >= fault_model_.outage_start && clock_ < fault_model_.outage_end;
   }
   void AccountLoss(const MessageTaintRecord& record);
+  Rng& DropTape() {
+    if (!fault_rng_) fault_rng_.emplace(fault_model_.seed);
+    return *fault_rng_;
+  }
 
   std::map<std::tuple<Rank, Rank, std::int64_t, std::uint64_t>, Pending> records_;
   std::vector<TransferLogEntry> transfers_;
   std::uint64_t next_hub_seq_ = 0;
   HubStats stats_;
   HubFaultModel fault_model_;
-  Rng fault_rng_{fault_model_.seed};
+  // The drop tape, restarted from fault_model_.seed by every Clear and
+  // SetFaultModel but seeded only on its first draw: a trial without a
+  // drop probability never pays for seeding a generator.
+  std::optional<Rng> fault_rng_;
   std::uint64_t clock_ = 0;
 };
 

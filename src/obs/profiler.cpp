@@ -27,6 +27,7 @@ const char* PhaseName(Phase p) {
     case Phase::kHubPublish: return "hub-publish";
     case Phase::kHubPoll: return "hub-poll";
     case Phase::kJournalFsync: return "journal-fsync";
+    case Phase::kReset: return "reset";
   }
   return "?";
 }

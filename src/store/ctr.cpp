@@ -553,7 +553,9 @@ void CheckIdentity(const CtrStoreInfo& found, const CtrStoreInfo& want,
 
 bool IsCtrStorePath(const std::string& path) {
   std::error_code ec;
-  if (fs::is_directory(path, ec)) return !ListSegments(path).empty();
+  if (fs::is_directory(path, ec)) {
+    return !ListSegments(path).empty() || fs::is_empty(path, ec);
+  }
   if (!fs::is_regular_file(path, ec)) return false;
   std::ifstream in(path, std::ios::binary);
   char magic[sizeof(kCtrMagic)] = {};
@@ -848,6 +850,12 @@ CtrStoreScanner::CtrStoreScanner(const std::string& path, ColumnMask mask)
   if (fs::is_directory(path, ec)) {
     segment_paths_ = ListSegments(path);
     if (segment_paths_.empty()) {
+      // A writer killed before its first block leaves only its directory:
+      // an empty store that was never sealed.
+      if (fs::is_empty(path, ec)) {
+        done_ = true;
+        return;
+      }
       throw ConfigError("CtrStoreScanner: '" + path + "' has no segments");
     }
   } else if (fs::is_regular_file(path, ec)) {

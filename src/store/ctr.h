@@ -119,7 +119,9 @@ struct CtrStoreInfo {
 };
 
 /// True if `path` looks like a CTR store: a directory holding at least one
-/// seg-*.ctr file, or a regular file starting with the segment magic.
+/// seg-*.ctr file, an empty directory (a writer that died before its first
+/// block: an empty, unsealed store), or a regular file starting with the
+/// segment magic.
 bool IsCtrStorePath(const std::string& path);
 
 struct CtrWriterOptions {

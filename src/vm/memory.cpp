@@ -5,45 +5,65 @@
 
 namespace chaser::vm {
 
-void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
-  if (bytes == 0) return;
-  const std::uint64_t first = vaddr >> kPageBits;
-  const std::uint64_t last = (vaddr + bytes - 1) >> kPageBits;
+void GuestMemory::AppendRun(const Snapshot::MapRun& run) {
   // Grow the directory and allocate leaves up front so the insert loop below
   // is pure array stores.
-  const std::uint64_t last_leaf = last >> kLeafBits;
+  const std::uint64_t last_leaf = (run.vpage + run.pages - 1) >> kLeafBits;
   if (last_leaf >= dir_.size()) dir_.resize(last_leaf + 1);
-  for (std::uint64_t d = first >> kLeafBits; d <= last_leaf; ++d) {
+  for (std::uint64_t d = run.vpage >> kLeafBits; d <= last_leaf; ++d) {
     if (dir_[d] == nullptr) {
       dir_[d] = std::make_unique<Leaf>();
       dir_[d]->frames.fill(kNoFrame);
     }
   }
+  for (std::uint32_t i = 0; i < run.pages; ++i) {
+    const std::uint64_t vp = run.vpage + i;
+    dir_[vp >> kLeafBits]->frames[vp & (kLeafPages - 1)] = run.frame + i;
+  }
+  frames_.resize(frames_.size() + run.pages);
+  // Runs cover the frames in order, so a run continues the last one exactly
+  // when its vpages do.
+  if (!runs_.empty() && runs_.back().vpage + runs_.back().pages == run.vpage) {
+    runs_.back().pages += run.pages;
+  } else {
+    runs_.push_back(run);
+  }
+}
+
+void GuestMemory::MapRegion(GuestAddr vaddr, std::uint64_t bytes) {
+  if (bytes == 0) return;
+  const std::uint64_t first = vaddr >> kPageBits;
+  const std::uint64_t last = (vaddr + bytes - 1) >> kPageBits;
   // Demand-zero: only the frame index is assigned here. Storage comes on
   // first translation (TranslateSlow), so a 1 MiB stack or a large brk costs
   // one pointer per page until the guest touches it.
-  for (std::uint64_t vp = first; vp <= last; ++vp) {
-    std::uint32_t& slot = dir_[vp >> kLeafBits]->frames[vp & (kLeafPages - 1)];
-    if (slot != kNoFrame) continue;
-    slot = static_cast<std::uint32_t>(frames_.size());
-    frames_.emplace_back();
+  for (std::uint64_t vp = first; vp <= last;) {
+    std::uint64_t end = vp;
+    while (end <= last && FrameIndex(end) == kNoFrame) ++end;
+    if (end > vp) {
+      AppendRun({vp, static_cast<std::uint32_t>(frames_.size()),
+                 static_cast<std::uint32_t>(end - vp)});
+    }
+    vp = end + 1;  // `end` is mapped already (or past the region)
   }
   // No TLB flush: the TLB caches only positive entries, newly-mapped pages
   // cannot be cached yet, and a frame's index (its paddr) never changes once
-  // assigned — backing it later does not move it. The moment unmap/remap
-  // exists this must flush.
+  // assigned — backing it later does not move it. Only Restore unmaps, and
+  // it resets the TLB.
 }
 
-void GuestMemory::Clear() {
-  for (auto& frame : frames_) {
-    if (frame != nullptr) spare_.push_back(std::move(frame));
+void GuestMemory::ReleaseBacked() {
+  for (const std::uint32_t f : backed_) spare_.push_back(std::move(frames_[f]));
+  backed_.clear();
+}
+
+void GuestMemory::FlushTlb() {
+  if (tlb_fills_ > kTlbFillCap) {
+    tlb_.fill(TlbEntry{});
+  } else {
+    for (std::size_t i = 0; i < tlb_fills_; ++i) tlb_[tlb_filled_[i]] = TlbEntry{};
   }
-  frames_.clear();
-  dir_.clear();
-  backed_ = 0;
-  FlushTlb();
-  tlb_hits_ = 0;
-  tlb_misses_ = 0;
+  tlb_fills_ = 0;
 }
 
 bool GuestMemory::IsMapped(GuestAddr vaddr) const {
@@ -72,10 +92,10 @@ std::optional<PhysAddr> GuestMemory::TranslateSlow(GuestAddr vaddr,
     // so a TLB hit always names a backed frame.
     frames_[frame] = TakePage();
     std::memset(frames_[frame].get(), 0, kPageSize);
-    ++backed_;
+    backed_.push_back(frame);
   }
   const PhysAddr frame_base = static_cast<PhysAddr>(frame) * kPageSize;
-  tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
+  FillTlb(vpage, frame_base);
   return frame_base + (vaddr & kPageMask);
 }
 
@@ -87,26 +107,12 @@ std::uint64_t GuestMemory::Snapshot::Bytes() const {
 
 void GuestMemory::Save(Snapshot* out) const {
   *out = Snapshot{};
-  for (std::uint64_t d = 0; d < dir_.size(); ++d) {
-    if (dir_[d] == nullptr) continue;
-    for (std::uint64_t i = 0; i < kLeafPages; ++i) {
-      const std::uint32_t frame = dir_[d]->frames[i];
-      if (frame == kNoFrame) continue;
-      const std::uint64_t vpage = (d << kLeafBits) | i;
-      Snapshot::MapRun* run = out->map.empty() ? nullptr : &out->map.back();
-      if (run != nullptr && run->vpage + run->pages == vpage &&
-          run->frame + run->pages == frame) {
-        ++run->pages;
-      } else {
-        out->map.push_back({vpage, frame, 1});
-      }
-    }
-  }
+  out->map = runs_;
   out->frames = frames_.size();
-  out->page_bytes.reserve(backed_ * kPageSize);
-  for (std::uint64_t f = 0; f < frames_.size(); ++f) {
-    if (frames_[f] == nullptr) continue;
-    out->page_frame.push_back(static_cast<std::uint32_t>(f));
+  out->page_frame = backed_;
+  std::sort(out->page_frame.begin(), out->page_frame.end());
+  out->page_bytes.reserve(backed_.size() * kPageSize);
+  for (const std::uint32_t f : out->page_frame) {
     out->page_bytes.insert(out->page_bytes.end(), frames_[f].get(),
                            frames_[f].get() + kPageSize);
   }
@@ -117,30 +123,57 @@ void GuestMemory::Save(Snapshot* out) const {
   out->tlb_misses = tlb_misses_;
 }
 
-void GuestMemory::Restore(const Snapshot& snap) {
-  Clear();
-  for (const Snapshot::MapRun& run : snap.map) {
-    for (std::uint32_t i = 0; i < run.pages; ++i) {
-      const std::uint64_t vpage = run.vpage + i;
-      const std::uint64_t d = vpage >> kLeafBits;
-      if (d >= dir_.size()) dir_.resize(d + 1);
-      if (dir_[d] == nullptr) {
-        dir_[d] = std::make_unique<Leaf>();
-        dir_[d]->frames.fill(kNoFrame);
-      }
-      dir_[d]->frames[vpage & (kLeafPages - 1)] = run.frame + i;
+std::uint64_t GuestMemory::SharedFrames(
+    const std::vector<Snapshot::MapRun>& map) const {
+  // Both lists are maximal runs in frame order starting at frame 0, so they
+  // agree run for run up to the first run that differs; within that run the
+  // shorter length still agrees.
+  std::uint64_t shared = 0;
+  for (std::size_t i = 0; i < runs_.size() && i < map.size(); ++i) {
+    if (runs_[i].vpage != map[i].vpage) break;
+    shared += std::min(runs_[i].pages, map[i].pages);
+    if (runs_[i].pages != map[i].pages) break;
+  }
+  return shared;
+}
+
+void GuestMemory::UnmapFrom(std::uint64_t keep) {
+  while (!runs_.empty() && runs_.back().frame + runs_.back().pages > keep) {
+    Snapshot::MapRun& run = runs_.back();
+    const std::uint32_t from =
+        keep > run.frame ? static_cast<std::uint32_t>(keep - run.frame) : 0;
+    // These pages are mapped, so their leaves exist.
+    for (std::uint32_t i = from; i < run.pages; ++i) {
+      const std::uint64_t vp = run.vpage + i;
+      dir_[vp >> kLeafBits]->frames[vp & (kLeafPages - 1)] = kNoFrame;
+    }
+    if (from == 0) {
+      runs_.pop_back();
+    } else {
+      run.pages = from;
     }
   }
-  frames_.resize(snap.frames);
+  frames_.resize(keep);
+}
+
+void GuestMemory::Restore(const Snapshot& snap) {
+  ReleaseBacked();
+  const std::uint64_t keep = SharedFrames(snap.map);
+  UnmapFrom(keep);
+  for (const Snapshot::MapRun& run : snap.map) {
+    if (run.frame + run.pages <= keep) continue;
+    const std::uint32_t skip =
+        keep > run.frame ? static_cast<std::uint32_t>(keep - run.frame) : 0;
+    AppendRun({run.vpage + skip, run.frame + skip, run.pages - skip});
+  }
   for (std::size_t i = 0; i < snap.page_frame.size(); ++i) {
     std::unique_ptr<std::uint8_t[]>& frame = frames_[snap.page_frame[i]];
     frame = TakePage();
     std::memcpy(frame.get(), snap.page_bytes.data() + i * kPageSize, kPageSize);
+    backed_.push_back(snap.page_frame[i]);
   }
-  backed_ = snap.page_frame.size();
-  for (const auto& [vpage, frame_base] : snap.tlb) {
-    tlb_[vpage & (kTlbEntries - 1)] = TlbEntry{vpage, frame_base};
-  }
+  FlushTlb();
+  for (const auto& [vpage, frame_base] : snap.tlb) FillTlb(vpage, frame_base);
   tlb_hits_ = snap.tlb_hits;
   tlb_misses_ = snap.tlb_misses;
 }

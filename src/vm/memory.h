@@ -13,6 +13,14 @@
 // page reads as zero, exactly like a freshly backed one, so backing is
 // invisible to the guest — it only decides which pages cost host memory
 // (and which pages a checkpoint must copy).
+//
+// Resets are proportional to what changed. Campaigns rewind one memory
+// thousands of times (to the loader's layout at every boot, to a checkpoint
+// on every ladder restore), and mappings only ever grow between resets, so
+// Restore keeps the frames both sides already share and touches only the
+// rest: the frames mapped since, the backed pages and the TLB slots filled
+// since. The memory therefore keeps its page table as runs in frame order,
+// the list of backed frames and a bounded list of filled TLB slots.
 #pragma once
 
 #include <array>
@@ -44,10 +52,6 @@ class GuestMemory {
   /// indices are assigned now, in ascending page order; storage is not.
   /// Already-mapped pages are left untouched.
   void MapRegion(GuestAddr vaddr, std::uint64_t bytes);
-
-  /// Drop every mapping, as for a fresh process: TLB entries and counters
-  /// reset, and backing pages are kept aside for reuse by later mappings.
-  void Clear();
 
   /// True if the byte at `vaddr` is mapped (backed or not).
   bool IsMapped(GuestAddr vaddr) const;
@@ -94,10 +98,10 @@ class GuestMemory {
 
   /// Pages with a frame index (mapped), and the subset with storage.
   std::uint64_t mapped_pages() const { return frames_.size(); }
-  std::uint64_t backed_pages() const { return backed_; }
+  std::uint64_t backed_pages() const { return backed_.size(); }
 
-  /// Drop every cached translation (called on any mapping change).
-  void FlushTlb() { tlb_.fill(TlbEntry{}); }
+  /// Drop every cached translation.
+  void FlushTlb();
 
   std::uint64_t tlb_hits() const { return tlb_hits_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
@@ -106,8 +110,9 @@ class GuestMemory {
   /// table, the contents of the backed pages only, and the live TLB entries
   /// with the hit/miss counters (which trial records report).
   struct Snapshot {
-    /// The page table as runs of consecutive vpages mapped to consecutive
-    /// frames (each MapRegion call leaves one run per region).
+    /// The page table as maximal runs of consecutive vpages mapped to
+    /// consecutive frames, in frame order (each MapRegion call leaves one
+    /// run per region).
     struct MapRun {
       std::uint64_t vpage = 0;
       std::uint32_t frame = 0;
@@ -126,6 +131,14 @@ class GuestMemory {
   };
   void Save(Snapshot* out) const;
   /// Replace the whole memory by `snap`, TLB entries and counters included.
+  /// Rewinds in place: frames that map the same vpages here and in `snap`
+  /// (a prefix, since frames are numbered in mapping order) stay mapped,
+  /// frames past that prefix are unmapped and the snapshot's later frames
+  /// mapped, every backed page is released and the snapshot's pages copied
+  /// back, and only the TLB slots filled since the last reset are cleared.
+  /// A snapshot of a different layout shares no prefix and rebuilds the
+  /// whole page table; an empty Snapshot{} leaves no mapping, as for a
+  /// fresh process. Released pages are kept for reuse by later backing.
   void Restore(const Snapshot& snap);
 
  private:
@@ -138,8 +151,21 @@ class GuestMemory {
   // comfortably in L2.
   static constexpr std::size_t kTlbEntries = 1024;
 
+  // TLB slots filled since the last reset, so a reset clears only those.
+  // Bounded, so a miss costs one compare and store however much the TLB
+  // thrashes: a run that fills more slots than this is flushed whole.
+  static constexpr std::size_t kTlbFillCap = 64;
+
   std::optional<PhysAddr> TranslateSlow(GuestAddr vaddr,
                                         std::uint64_t vpage) const;
+  void FillTlb(std::uint64_t vpage, PhysAddr frame_base) const {
+    const std::size_t slot = vpage & (kTlbEntries - 1);
+    tlb_[slot] = TlbEntry{vpage, frame_base};
+    if (tlb_fills_ < kTlbFillCap) {
+      tlb_filled_[tlb_fills_] = static_cast<std::uint16_t>(slot);
+    }
+    ++tlb_fills_;
+  }
 
   /// Storage for one page, recycled from `spare_` when possible; contents
   /// are unspecified.
@@ -157,8 +183,7 @@ class GuestMemory {
   // indexed by a growable directory. Guest addresses top out just above
   // kStackTop (~2^19 pages), so the directory stays tiny while lookups and
   // inserts are two array indexations — the former unordered_map here was a
-  // top campaign-profile entry (trial engines rebuild guest memory
-  // thousands of times, and every TLB miss lands here).
+  // top campaign-profile entry (every TLB miss lands here).
   // paddr = frame_index * kPageSize + offset.
   static constexpr std::uint64_t kLeafBits = 9;  // 512 pages = 2 MiB per leaf
   static constexpr std::uint64_t kLeafPages = 1ull << kLeafBits;
@@ -166,6 +191,14 @@ class GuestMemory {
   struct Leaf {
     std::array<std::uint32_t, kLeafPages> frames;
   };
+  /// Map `run`, whose first frame is frames_.size(), and record it.
+  void AppendRun(const Snapshot::MapRun& run);
+  /// Unmap every frame from `keep` on. Their storage must already be gone.
+  void UnmapFrom(std::uint64_t keep);
+  /// Frames [0, n) that map the same vpages here and in `map`.
+  std::uint64_t SharedFrames(const std::vector<Snapshot::MapRun>& map) const;
+  /// Give every backed page's storage back to spare_.
+  void ReleaseBacked();
   /// Frame index of `vpage`, or kNoFrame when unmapped.
   std::uint32_t FrameIndex(std::uint64_t vpage) const {
     const std::uint64_t d = vpage >> kLeafBits;
@@ -174,16 +207,22 @@ class GuestMemory {
   }
 
   std::vector<std::unique_ptr<Leaf>> dir_;
+  // The same page table as maximal runs in frame order (what Save stores
+  // and Restore compares).
+  std::vector<Snapshot::MapRun> runs_;
   // Frame index -> storage, null until the page is first translated.
   // `mutable` because backing happens inside the const Translate: it is
   // invisible to every reader (an unbacked page reads as zero).
   mutable std::vector<std::unique_ptr<std::uint8_t[]>> frames_;
   mutable std::vector<std::unique_ptr<std::uint8_t[]>> spare_;
-  mutable std::uint64_t backed_ = 0;
+  // Frames with storage, in backing order.
+  mutable std::vector<std::uint32_t> backed_;
 
   // Direct-mapped translation cache. `mutable` because Translate is
   // semantically const; the TLB is pure memoisation.
   mutable std::array<TlbEntry, kTlbEntries> tlb_{};
+  mutable std::array<std::uint16_t, kTlbFillCap> tlb_filled_{};
+  mutable std::size_t tlb_fills_ = 0;  // may exceed the cap: then flush all
   mutable std::uint64_t tlb_hits_ = 0;
   mutable std::uint64_t tlb_misses_ = 0;
 };

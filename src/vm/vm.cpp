@@ -151,16 +151,26 @@ Pid Vm::StartLoadedProcess() {
                       ? config_.program_hash
                       : tcg::SharedTbCache::HashProgram(program);
 
-  memory_.Clear();
-  if (!program.data.empty()) {
+  // The loader's page table depends on the data and bss sizes alone (the
+  // stack is fixed), so those key it. Restarting with the sizes of the last
+  // boot rewinds to that page table in place: unmapping the heap, dropping
+  // every backed page and the TLB fills, zeroing the counters. Writing the
+  // data bytes below then backs the same pages and fills the same TLB slots
+  // a fresh boot does.
+  const std::pair<std::uint64_t, std::uint64_t> layout{program.data.size(),
+                                                       program.bss_bytes};
+  if (boot_layout_key_ == layout) {
+    memory_.Restore(boot_layout_);
+  } else {
+    memory_.Restore({});
     memory_.MapRegion(guest::kDataBase, program.data.size());
-    memory_.WriteBytes(guest::kDataBase, program.data.data(), program.data.size());
-  }
-  if (program.bss_bytes > 0) {
     memory_.MapRegion(guest::kBssBase, program.bss_bytes);
+    memory_.MapRegion(guest::kStackTop - guest::kDefaultStackBytes,
+                      guest::kDefaultStackBytes);
+    memory_.Save(&boot_layout_);  // a page table only: nothing is backed yet
+    boot_layout_key_ = layout;
   }
-  memory_.MapRegion(guest::kStackTop - guest::kDefaultStackBytes,
-                    guest::kDefaultStackBytes);
+  memory_.WriteBytes(guest::kDataBase, program.data.data(), program.data.size());
   heap_break_ = guest::kHeapBase;
 
   cpu_ = CpuState{};

@@ -25,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -425,6 +426,10 @@ class Vm {
 
   CpuState cpu_;
   GuestMemory memory_;
+  // The loader's page table of the last boot, keyed by (data bytes, bss
+  // bytes); see StartLoadedProcess.
+  GuestMemory::Snapshot boot_layout_;
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> boot_layout_key_;
   taint::TaintEngine taint_;
   std::vector<std::uint64_t> temps_;
 

@@ -23,6 +23,9 @@
 #include "campaign/fleet.h"
 #include "campaign/journal.h"
 #include "campaign/report.h"
+#include "core/chaser_mpi.h"
+#include "core/injectors/probabilistic_injector.h"
+#include "core/trigger.h"
 #include "hub/remote/server.h"
 #include "obs/metrics.h"
 #include "tcg/shared_cache.h"
@@ -188,7 +191,8 @@ INSTANTIATE_TEST_SUITE_P(
 // so the stratified cases draw sites on several ranks.
 INSTANTIATE_TEST_SUITE_P(
     Sampled, CheckpointIdentity,
-    ::testing::Combine(::testing::Values("kmeans", "matvec", "lud", "clamr"),
+    ::testing::Combine(::testing::Values("kmeans", "matvec", "lud", "bfs",
+                                         "clamr"),
                        ::testing::Bool(),
                        ::testing::Values(SamplePolicy::kWeighted,
                                          SamplePolicy::kStratified)),
@@ -423,11 +427,158 @@ TEST(CheckpointLadderSites, StratifiedClamrRestoresOnEveryInjectRank) {
       << "restores should happen on several inject ranks, not only rank 0";
 }
 
+// ---- a rewound engine captures what a fresh one does ------------------------
+
+/// A trial's job, as TrialEngine runs it: the shared image on a cluster whose
+/// VMs share one translation cache, traced, with a trigger that never fires
+/// on the inject rank (so every round boundary is a pre-fire prefix).
+struct TrialJob {
+  explicit TrialJob(const apps::AppSpec& spec, tcg::SharedTbCache* cache)
+      : cluster([&] {
+          mpi::Cluster::Config config;
+          config.num_ranks = spec.num_ranks;
+          config.vm.shared_cache = cache;
+          return config;
+        }()),
+        chaser(cluster, [] {
+          core::Chaser::Options options;
+          options.taint_sample_interval = 5000;
+          return options;
+        }()) {
+    core::InjectionCommand cmd;
+    cmd.target_program = spec.program.name;
+    cmd.target_classes = spec.fault_classes;
+    cmd.trigger = std::make_shared<core::NeverTrigger>();
+    cmd.injector = core::ProbabilisticInjector::Create(1);
+    chaser.Arm(cmd, {0});
+  }
+  /// Boot `image` and capture at the first round boundary at or past `at`
+  /// instructions; the job then runs to its end.
+  void Capture(const std::shared_ptr<const guest::Program>& image,
+               std::uint64_t at, TrialCheckpoint* out) {
+    cluster.Start(image);
+    bool taken = false;
+    cluster.set_round_hook([&] {
+      if (taken || cluster.instructions() < at) return;
+      ASSERT_TRUE(cluster.SaveCheckpoint(&out->cluster));
+      chaser.SaveCheckpoint(&out->chaser);
+      taken = true;
+    });
+    cluster.Run();
+    cluster.set_round_hook(nullptr);
+    ASSERT_TRUE(taken);
+  }
+  mpi::Cluster cluster;
+  core::ChaserMpi chaser;
+};
+
+void ExpectSameVmCheckpoint(const vm::Vm::Checkpoint& got,
+                            const vm::Vm::Checkpoint& want) {
+  EXPECT_EQ(got.cpu.env, want.cpu.env);
+  EXPECT_EQ(got.cpu.pc, want.cpu.pc);
+  EXPECT_EQ(got.instret, want.instret);
+  EXPECT_EQ(got.next_sample, want.next_sample);
+  EXPECT_EQ(got.run_state, want.run_state);
+  EXPECT_EQ(got.termination, want.termination);
+  EXPECT_EQ(got.signal, want.signal);
+  EXPECT_EQ(got.exit_code, want.exit_code);
+  EXPECT_EQ(got.termination_message, want.termination_message);
+  EXPECT_EQ(got.heap_break, want.heap_break);
+  EXPECT_EQ(got.outputs, want.outputs);
+  const vm::GuestMemory::Snapshot& a = got.memory;
+  const vm::GuestMemory::Snapshot& b = want.memory;
+  ASSERT_EQ(a.map.size(), b.map.size());
+  for (std::size_t i = 0; i < a.map.size(); ++i) {
+    EXPECT_EQ(std::tie(a.map[i].vpage, a.map[i].frame, a.map[i].pages),
+              std::tie(b.map[i].vpage, b.map[i].frame, b.map[i].pages));
+  }
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_EQ(a.page_frame, b.page_frame) << "backed pages differ";
+  EXPECT_TRUE(a.page_bytes == b.page_bytes) << "page contents differ";
+  EXPECT_EQ(a.tlb, b.tlb);
+  EXPECT_EQ(a.tlb_hits, b.tlb_hits);
+  EXPECT_EQ(a.tlb_misses, b.tlb_misses);
+  // The local TB index is a hash map: compare it as a set.
+  const auto tbs = [](const vm::Vm::Checkpoint& cp) {
+    std::map<std::uint64_t, std::tuple<const void*, std::uint64_t, std::uint64_t>> m;
+    for (const vm::Vm::Checkpoint::Tb& tb : cp.tbs) {
+      m[tb.pc] = {tb.tb, tb.chain[0], tb.chain[1]};
+    }
+    return m;
+  };
+  EXPECT_TRUE(tbs(got) == tbs(want)) << "TB index or chain edges differ";
+  EXPECT_EQ(got.tb_chain_hits, want.tb_chain_hits);
+  EXPECT_EQ(got.Bytes(), want.Bytes());
+}
+
+TEST(CheckpointRewind, ARewoundEngineCapturesWhatAFreshOneDoes) {
+  // The ladder's byte budget counts backed pages, so a capture taken after
+  // thousands of in-place rewinds must hold exactly what a capture taken
+  // right after the first boot holds.
+  for (const char* app : {"clamr", "bfs"}) {
+    SCOPED_TRACE(app);
+    const apps::AppSpec spec = BuildApp(app);
+    const auto image = std::make_shared<const guest::Program>(spec.program);
+    tcg::SharedTbCache cache;
+    TrialJob fresh(spec, &cache);
+    TrialCheckpoint early;
+    fresh.Capture(image, 1, &early);
+    const std::uint64_t golden = fresh.cluster.instructions();
+
+    // The rewound engine: a whole job, a restore of an early checkpoint
+    // over a fresh boot, run out, then the capture. (Heap growth across
+    // rewinds is vm_test's Restart case; these apps never call brk.)
+    TrialJob rewound(spec, &cache);
+    TrialCheckpoint scratch;
+    rewound.Capture(image, golden / 3, &scratch);
+    rewound.cluster.Start(image);
+    rewound.cluster.RestoreCheckpoint(early.cluster);
+    rewound.chaser.RestoreCheckpoint(early.chaser);
+    rewound.cluster.Run();
+    TrialCheckpoint got;
+    rewound.Capture(image, golden / 2, &got);
+
+    TrialJob first(spec, &cache);
+    TrialCheckpoint want;
+    first.Capture(image, golden / 2, &want);
+
+    ASSERT_EQ(got.cluster.vms.size(), want.cluster.vms.size());
+    for (std::size_t r = 0; r < got.cluster.vms.size(); ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      ExpectSameVmCheckpoint(got.cluster.vms[r], want.cluster.vms[r]);
+      const mpi::Cluster::RankMpiState& a = got.cluster.ranks[r];
+      const mpi::Cluster::RankMpiState& b = want.cluster.ranks[r];
+      EXPECT_EQ(std::tie(a.mpi_initialized, a.mpi_finalized, a.barriers_done,
+                         a.barrier_arrived, a.allreduce_sent),
+                std::tie(b.mpi_initialized, b.mpi_finalized, b.barriers_done,
+                         b.barrier_arrived, b.allreduce_sent));
+      ASSERT_EQ(a.inbox.size(), b.inbox.size());
+      for (std::size_t i = 0; i < a.inbox.size(); ++i) {
+        EXPECT_EQ(std::tie(a.inbox[i].src, a.inbox[i].tag, a.inbox[i].seq,
+                           a.inbox[i].payload),
+                  std::tie(b.inbox[i].src, b.inbox[i].tag, b.inbox[i].seq,
+                           b.inbox[i].payload));
+      }
+      const core::Chaser::Checkpoint& ca = got.chaser.ranks[r];
+      const core::Chaser::Checkpoint& cb = want.chaser.ranks[r];
+      EXPECT_EQ(ca.exec_count, cb.exec_count);
+      EXPECT_EQ(ca.site_execs, cb.site_execs);
+      EXPECT_EQ(ca.taint_timeline.size(), cb.taint_timeline.size());
+    }
+    EXPECT_EQ(got.cluster.job.send_seq, want.cluster.job.send_seq);
+    EXPECT_EQ(got.cluster.job.instructions, want.cluster.job.instructions);
+    EXPECT_EQ(got.cluster.job.messages_delivered,
+              want.cluster.job.messages_delivered);
+    EXPECT_EQ(got.cluster.Bytes(), want.cluster.Bytes());
+  }
+}
+
 // ---- configurations that must bypass the ladder -----------------------------
 
-void ExpectBypass(const std::string& app, CampaignConfig config) {
+void ExpectBypass(const std::string& app, const CampaignConfig& config,
+                  const CampaignConfig& oracle) {
   const apps::AppSpec spec = BuildApp(app);
-  const std::vector<RunRecord> want = FreshEngineRecords(spec, config);
+  const std::vector<RunRecord> want = FreshEngineRecords(spec, oracle);
   const std::uint64_t captures0 =
       CounterValue("trial_checkpoint_captures_total");
   const std::uint64_t restores0 =
@@ -439,6 +590,10 @@ void ExpectBypass(const std::string& app, CampaignConfig config) {
   ExpectSameRecords(got.records, want);
 }
 
+void ExpectBypass(const std::string& app, const CampaignConfig& config) {
+  ExpectBypass(app, config, config);
+}
+
 TEST(CheckpointBypass, HubFaultModel) {
   const apps::AppSpec spec = BuildApp("matvec");
   CampaignConfig config = BaseConfig("matvec", spec);
@@ -446,6 +601,26 @@ TEST(CheckpointBypass, HubFaultModel) {
   config.hub_fault.outage_start = 3;
   config.hub_fault.outage_end = 9;
   ExpectBypass("matvec", config);
+}
+
+TEST(CheckpointBypass, HubFaultModelOnClamrWithSpools) {
+  // Every clamr rank injects and talks, so hub degradation reaches records
+  // and spools. The ladder stays off; each trial still rewinds the boot.
+  const apps::AppSpec spec = BuildApp("clamr");
+  CampaignConfig config = BaseConfig("clamr", spec);
+  config.runs = 16;
+  config.hub_fault.publish_drop_prob = 0.3;
+  config.hub_fault.outage_start = 2;
+  config.hub_fault.outage_end = 6;
+  const std::string dir = TempDir("hub_fault_clamr");
+  CampaignConfig oracle = config;
+  oracle.spool_dir = dir + "/oracle";
+  CampaignConfig rewound = config;
+  rewound.spool_dir = dir + "/rewound";
+  ExpectBypass("clamr", rewound, oracle);
+  EXPECT_TRUE(SlurpTree(dir + "/rewound") == SlurpTree(dir + "/oracle"))
+      << "a per-trial spool differs from the fresh-engine run";
+  fs::remove_all(dir);
 }
 
 TEST(CheckpointBypass, HubFaultTrigger) {

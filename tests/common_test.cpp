@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/error.h"
@@ -233,6 +235,32 @@ TEST(Bits, SaturatingMulU64) {
 }
 
 // ---- rng -------------------------------------------------------------------
+
+TEST(Rng, LazyEngineMatchesStdMt19937_64) {
+  // Output for output across several blocks (312 words each), for edge and
+  // random seeds, so the lazy seeding and twisting must agree everywhere.
+  std::mt19937_64 seeds(99);
+  std::vector<std::uint64_t> cases = {0, 1, 5489, ~0ull, 1ull << 63};
+  for (int i = 0; i < 20; ++i) cases.push_back(seeds());
+  for (const std::uint64_t seed : cases) {
+    Mt19937_64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(lazy(), ref()) << "seed " << seed << " output " << i;
+    }
+  }
+  // The distributions Rng draws through see the same bits.
+  Rng rng(2024);
+  std::mt19937_64 ref(2024);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(rng.UniformU64(3, 1000 + i),
+              std::uniform_int_distribution<std::uint64_t>(3, 1000 + i)(ref));
+    EXPECT_EQ(rng.UniformDouble(),
+              std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+    EXPECT_EQ(rng.Bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+    EXPECT_EQ(rng.Fork(), ref());
+  }
+}
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);

@@ -625,6 +625,11 @@ TEST(TelemetryIdentity, GoldenPhaseIsTimedWhenCallersRunGoldenFirst) {
     EXPECT_EQ(csv_off, csv_on);
     EXPECT_EQ(golden_phase()->Count(), 1u);
     EXPECT_GT(golden_phase()->Sum(), 0u);
+    // One reset (Cluster::Start plus any ladder restore) per trial.
+    EXPECT_EQ(Registry::Global()
+                  .GetHistogram("phase_reset_ns", obs::LatencyBoundsNs())
+                  .Count(),
+              config.runs);
     EXPECT_EQ(obs::ThreadProfiler(), nullptr)
         << "the main thread must not stay armed after the campaign";
   }
@@ -698,13 +703,16 @@ TEST(TelemetryIdentity, MpiCampaignTraceCoversTheInstrumentedPhases) {
   const std::string trace = Slurp(dir + "/t.json");
   int phases = 0;
   for (const char* name : {"golden", "trial", "translate", "execute", "inject",
-                           "taint-propagate", "hub-publish", "hub-poll"}) {
+                           "taint-propagate", "hub-publish", "hub-poll",
+                           "reset"}) {
     if (trace.find("\"name\":\"" + std::string(name) + "\"") !=
         std::string::npos) {
       ++phases;
     }
   }
   EXPECT_GE(phases, 5) << "expected at least 5 distinct phases in the trace";
+  EXPECT_NE(trace.find("\"name\":\"reset\""), std::string::npos)
+      << "every trial's restart is a reset span";
   EXPECT_NE(trace.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   fs::remove_all(dir);
 }

@@ -441,6 +441,37 @@ std::string ExportedCsv(const std::string& dir) {
   return out.str();
 }
 
+TEST(CtrStore, WriterKilledBeforeItsFirstBlockLeavesAnEmptyUnsealedStore) {
+  const std::string dir = TempPath("killed_early");
+  // Below one block nothing reaches the disk, so a writer killed now leaves
+  // only its directory behind: readers see an empty store never sealed.
+  CtrStoreWriter writer(dir, TestIdentity(), {});
+  for (const RunRecord& r : SampleRecords(3)) writer.Add(r);
+  ASSERT_TRUE(fs::is_directory(dir));
+  ASSERT_TRUE(fs::is_empty(dir));
+  EXPECT_TRUE(IsCtrStorePath(dir));
+  bool truncated = true, sealed = true;
+  EXPECT_TRUE(ScanAll(dir, kAllColumns, &truncated, &sealed).empty());
+  EXPECT_FALSE(truncated);
+  EXPECT_FALSE(sealed);
+  std::ostringstream csv;
+  const ExportStats stats = ExportCsv(dir, csv);
+  EXPECT_EQ(stats.rows, 0u);
+  EXPECT_FALSE(stats.sealed);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_EQ(csv.str(), ReferenceCsv({}, campaign::SamplePolicy::kUniform));
+  const QueryResult query = RunQuery(dir, {});
+  EXPECT_EQ(query.scanned, 0u);
+  EXPECT_FALSE(query.sealed);
+
+  // A directory holding something other than segments is still no store.
+  const std::string other = TempPath("not_a_store");
+  fs::create_directories(other);
+  std::ofstream(other + "/notes.txt") << "x";
+  EXPECT_FALSE(IsCtrStorePath(other));
+  EXPECT_THROW(CtrStoreScanner{other}, ConfigError);
+}
+
 TEST(CtrExport, ByteIdenticalToWriteRecordsCsvAcrossVersions) {
   // v6: custom injectors present.
   {

@@ -6,10 +6,14 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "guest/builder.h"
 #include "tcg/shared_cache.h"
 #include "vm/memory.h"
@@ -233,6 +237,138 @@ TEST(DemandZero, SnapshotRestoresMappingContentsAndTlb) {
   }
   EXPECT_EQ(r.tlb_hits(), m.tlb_hits());
   EXPECT_EQ(r.tlb_misses(), m.tlb_misses());
+}
+
+// ---- In-place restore -------------------------------------------------------
+
+/// Everything Save captures (page table, frame count, backed pages and their
+/// bytes, live TLB entries, counters) must agree.
+void ExpectSameSnapshot(const GuestMemory& got, const GuestMemory& want) {
+  GuestMemory::Snapshot a, b;
+  got.Save(&a);
+  want.Save(&b);
+  ASSERT_EQ(a.map.size(), b.map.size());
+  for (std::size_t i = 0; i < a.map.size(); ++i) {
+    EXPECT_EQ(a.map[i].vpage, b.map[i].vpage) << "run " << i;
+    EXPECT_EQ(a.map[i].frame, b.map[i].frame) << "run " << i;
+    EXPECT_EQ(a.map[i].pages, b.map[i].pages) << "run " << i;
+  }
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_EQ(a.page_frame, b.page_frame);
+  EXPECT_TRUE(a.page_bytes == b.page_bytes) << "page contents differ";
+  EXPECT_EQ(a.tlb, b.tlb) << "live TLB entries differ";
+  EXPECT_EQ(a.tlb_hits, b.tlb_hits);
+  EXPECT_EQ(a.tlb_misses, b.tlb_misses);
+  EXPECT_EQ(a.Bytes(), b.Bytes());
+}
+
+constexpr GuestAddr kPropBase = 0x100000;
+constexpr std::uint64_t kPropPages = 2048;  // twice the TLB: slots conflict
+
+GuestAddr RandomAddr(Rng& rng) {
+  // A little past both ends, so some accesses fault.
+  return kPropBase - 2 * kPageSize +
+         rng.UniformU64(0, (kPropPages + 4) * kPageSize - 1);
+}
+
+/// The same random access trace on both memories must agree access by
+/// access (value, paddr, fault), then in every counter and snapshot field.
+void ExpectSameUnderTrace(GuestMemory& got, GuestMemory& want,
+                          std::uint64_t seed) {
+  ExpectSameSnapshot(got, want);
+  EXPECT_EQ(got.mapped_pages(), want.mapped_pages());
+  EXPECT_EQ(got.backed_pages(), want.backed_pages());
+  for (std::uint64_t vp = 0; vp < kPropPages + 4; ++vp) {
+    const GuestAddr va = kPropBase - 2 * kPageSize + vp * kPageSize;
+    ASSERT_EQ(got.IsMapped(va), want.IsMapped(va)) << std::hex << va;
+  }
+  Rng a(seed), b(seed);
+  for (int i = 0; i < 400; ++i) {
+    const GuestAddr va = RandomAddr(a);
+    RandomAddr(b);
+    const std::uint32_t size = 1u << a.UniformU64(0, 3);
+    b.UniformU64(0, 3);
+    PhysAddr pa = 0, pb = 0;
+    if (i % 3 == 0) {
+      EXPECT_EQ(got.Store(va, size, va * 7, &pa), want.Store(va, size, va * 7, &pb));
+    } else {
+      EXPECT_EQ(got.Load(va, size, &pa), want.Load(va, size, &pb)) << std::hex << va;
+    }
+    EXPECT_EQ(pa, pb) << std::hex << va;
+  }
+  EXPECT_EQ(got.tlb_hits(), want.tlb_hits());
+  EXPECT_EQ(got.tlb_misses(), want.tlb_misses());
+  ExpectSameSnapshot(got, want);
+}
+
+TEST(RewindInPlace, MatchesAFreshRestoreOverRandomHistories) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    GuestMemory m;
+    // A loader-like layout: data, then a region past the TLB's reach.
+    m.MapRegion(kPropBase, 160 * kPageSize);
+    m.MapRegion(kPropBase + 1100 * kPageSize, 8 * kPageSize);
+    GuestAddr brk = kPropBase + 1400 * kPageSize;
+    std::vector<GuestMemory::Snapshot> snaps(1);
+    m.Save(&snaps[0]);
+    PhysAddr pa = 0;
+    for (int op = 0; op < 300; ++op) {
+      // Op 100 sweeps 160 pages (more TLB slots than the fill list holds)
+      // and op 101 restores right after it.
+      const std::uint64_t pick = op == 100   ? 95
+                                 : op == 101 ? 97
+                                             : rng.UniformU64(0, 99);
+      if (pick < 8) {
+        m.MapRegion(RandomAddr(rng), rng.UniformU64(1, 8) * kPageSize);
+      } else if (pick < 14) {
+        const std::uint64_t bytes = rng.UniformU64(1, 4) * kPageSize;
+        if (brk + bytes <= kPropBase + kPropPages * kPageSize) {
+          m.MapRegion(brk, bytes);  // brk-style heap growth
+          brk += bytes;
+        }
+      } else if (pick < 60) {
+        m.Store(RandomAddr(rng), 1u << rng.UniformU64(0, 3), rng.UniformU64(0, ~0ull), &pa);
+      } else if (pick < 88) {
+        m.Load(RandomAddr(rng), 1u << rng.UniformU64(0, 3), &pa);
+      } else if (pick < 94) {
+        snaps.emplace_back();
+        m.Save(&snaps.back());
+      } else if (pick < 96) {
+        for (std::uint64_t p = 0; p < 160; ++p) m.Load(kPropBase + p * kPageSize, 8, &pa);
+      } else {
+        const GuestMemory::Snapshot& snap = snaps[rng.Index(snaps.size())];
+        m.Restore(snap);
+        GuestMemory fresh;
+        fresh.Restore(snap);
+        ExpectSameUnderTrace(m, fresh, seed * 1000 + static_cast<std::uint64_t>(op));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RewindInPlace, HeapMappedAfterTheSnapshotFaultsAgain) {
+  GuestMemory m;
+  m.MapRegion(0x10000, 4 * kPageSize);
+  PhysAddr pa = 0;
+  ASSERT_TRUE(m.Store(0x10008, 8, 0x11, &pa));
+  GuestMemory::Snapshot snap;
+  m.Save(&snap);
+  m.MapRegion(0x80000, 2 * kPageSize);  // the heap grows after the snapshot
+  ASSERT_TRUE(m.Store(0x80010, 8, 0x22, &pa));
+  ASSERT_TRUE(m.Store(0x10008, 8, 0x33, &pa));
+  m.Restore(snap);
+  EXPECT_FALSE(m.IsMapped(0x80010));
+  EXPECT_FALSE(m.Load(0x80010, 8, &pa).has_value());
+  EXPECT_EQ(m.Load(0x10008, 8, &pa), std::optional<std::uint64_t>(0x11));
+  EXPECT_EQ(m.mapped_pages(), 4u);
+  EXPECT_EQ(m.backed_pages(), 1u);
+  // Mapped again, the heap gets the frame numbers it had, zero-filled.
+  m.MapRegion(0x80000, 2 * kPageSize);
+  PhysAddr heap = 0;
+  EXPECT_EQ(m.Load(0x80010, 8, &heap), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(heap, 4 * kPageSize + 0x10);
 }
 
 // ---- Instruction semantics -------------------------------------------------------
@@ -759,6 +895,96 @@ TEST(Checkpoint, RestoredRunFinishesExactlyLikeTheOriginal) {
   EXPECT_EQ(restored.tlb_hits(), original.tlb_hits());
   EXPECT_EQ(restored.tlb_misses(), original.tlb_misses());
   EXPECT_EQ(restored.cpu().env, original.cpu().env);
+}
+
+/// Everything a trial record, report or spool can see of a finished run,
+/// plus the memory itself.
+void ExpectSameRun(const Vm& got, const Vm& want) {
+  EXPECT_EQ(got.termination(), want.termination());
+  EXPECT_EQ(got.exit_code(), want.exit_code());
+  EXPECT_EQ(got.output(1), want.output(1));
+  EXPECT_EQ(got.instret(), want.instret());
+  EXPECT_EQ(got.tb_chain_hits(), want.tb_chain_hits());
+  EXPECT_EQ(got.tlb_hits(), want.tlb_hits());
+  EXPECT_EQ(got.tlb_misses(), want.tlb_misses());
+  EXPECT_EQ(got.cpu().env, want.cpu().env);
+  ExpectSameSnapshot(got.memory(), want.memory());
+}
+
+TEST(Restart, SameImageRewindsToWhatAFreshVmBoots) {
+  const guest::Program p = CheckpointProgram();  // grows the heap
+  tcg::SharedTbCache cache;
+  Vm::Config config;
+  config.shared_cache = &cache;
+  const auto image = std::make_shared<const guest::Program>(p);
+  Vm reused(config);
+  reused.StartProcess(image);
+  reused.RunToCompletion();
+  ASSERT_TRUE(reused.memory().IsMapped(guest::kHeapBase));
+  // A checkpoint restore in between leaves the memory in its own layout.
+  Vm donor(config);
+  donor.StartProcess(image);
+  donor.Run(300);
+  Vm::Checkpoint cp;
+  ASSERT_TRUE(donor.SaveCheckpoint(&cp));
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("restart " + std::to_string(round));
+    reused.StartProcess(image);
+    Vm fresh(config);
+    fresh.StartProcess(image);
+    EXPECT_FALSE(reused.memory().IsMapped(guest::kHeapBase));
+    ExpectSameSnapshot(reused.memory(), fresh.memory());
+    if (round == 1) {
+      reused.RestoreCheckpoint(cp);
+      fresh.RestoreCheckpoint(cp);
+    }
+    reused.RunToCompletion();
+    fresh.RunToCompletion();
+    ExpectSameRun(reused, fresh);
+  }
+  // The copying overload rewinds the same way.
+  reused.StartProcess(p);
+  reused.RunToCompletion();
+  Vm fresh(config);
+  fresh.StartProcess(p);
+  fresh.RunToCompletion();
+  ExpectSameRun(reused, fresh);
+}
+
+TEST(Restart, ADifferentProgramBootsFresh) {
+  // Same-sized data with other bytes, then a different layout altogether:
+  // the reused VM (whose image copy always sits at the same address) must
+  // boot each exactly as a fresh VM does.
+  const auto program = [](std::int64_t value, std::uint64_t bss_bytes) {
+    ProgramBuilder b("p");
+    const std::uint64_t word = static_cast<std::uint64_t>(value);
+    const GuestAddr data = b.DataU64("v", std::span<const std::uint64_t>(&word, 1));
+    const GuestAddr buf = b.Bss("buf", bss_bytes);
+    b.MovI(R(4), static_cast<std::int64_t>(data));
+    b.Ld(R(5), R(4), 0);
+    b.MovI(R(6), static_cast<std::int64_t>(buf));
+    b.St(R(6), 0, R(5));
+    b.MovI(R(7), 8);
+    b.Write(1, R(6), R(7));
+    b.Exit(0);
+    return b.Finalize();
+  };
+  Vm reused;
+  reused.StartProcess(program(7, 4096));
+  reused.RunToCompletion();
+  for (const auto& [value, bss] : {std::pair<std::int64_t, std::uint64_t>{9, 4096},
+                                  {11, 3 * 4096}, {7, 4096}}) {
+    const guest::Program next = program(value, bss);
+    reused.StartProcess(next);
+    reused.RunToCompletion();
+    Vm fresh;
+    fresh.StartProcess(next);
+    fresh.RunToCompletion();
+    ExpectSameRun(reused, fresh);
+    std::uint64_t printed = 0;
+    std::memcpy(&printed, reused.output(1).data(), sizeof(printed));
+    EXPECT_EQ(printed, static_cast<std::uint64_t>(value));
+  }
 }
 
 TEST(Checkpoint, OwnedTranslationsCannotBeCheckpointed) {

@@ -3,8 +3,10 @@
 #
 # Proves the whole columnar chain: a `chaser_run --out` campaign SIGKILLed
 # mid-run, a journal+store resume that converges back to the uninterrupted
-# byte stream, a 3-shard fleet producing per-shard stores, a streaming
-# `chaser_fleet merge` into one merged store, and `chaser_analyze query` /
+# byte stream, a run killed before its first block (an empty, unsealed
+# store that export-csv and summarize still read), a 3-shard fleet
+# producing per-shard stores, a streaming `chaser_fleet merge` into one
+# merged store, and `chaser_analyze query` /
 # `export-csv` over the result — with every exported CSV byte-identical to
 # the records CSV chaser_run wrote for this campaign before CSV became
 # export-only (pinned below by its sha256). Companion to fleet_smoke.sh, one
@@ -82,6 +84,45 @@ if ! diff -rq "$WORK/clean.ctr" "$WORK/kill.ctr" >/dev/null; then
   fail=1
 fi
 
+echo "== early kill: a run SIGKILLed before its first block leaves an empty store"
+# clamr trials are slow enough that the first 512-record block is seconds
+# away when the store directory appears.
+"$RUN" --app clamr --runs 600 --seed "$SEED" --jobs 1 \
+       --out "$WORK/early.ctr" >"$WORK/early.log" 2>&1 &
+VICTIM=$!
+for _ in $(seq 1 3000); do
+  [[ -d "$WORK/early.ctr" ]] && break
+  kill -0 "$VICTIM" 2>/dev/null || break
+  sleep 0.001
+done
+kill -9 "$VICTIM" 2>/dev/null
+wait "$VICTIM" 2>/dev/null
+if [[ ! -d "$WORK/early.ctr" ]] || [[ -n "$(ls -A "$WORK/early.ctr")" ]]; then
+  echo "store_smoke: FAIL — the early kill did not leave an empty store directory"
+  ls -la "$WORK/early.ctr" 2>&1 | head -5
+  fail=1
+else
+  "$ANALYZE" export-csv "$WORK/early.ctr" --out "$WORK/early.csv" \
+      >"$WORK/early-export.log" 2>&1 || {
+    echo "store_smoke: FAIL (export-csv of the empty store failed)"
+    cat "$WORK/early-export.log"; fail=1; }
+  if [[ "$(grep -vc '^#' "$WORK/early.csv" 2>/dev/null)" != 1 ]]; then
+    echo "store_smoke: FAIL — the empty store's CSV is not a lone header"
+    head -3 "$WORK/early.csv"; fail=1
+  fi
+  "$ANALYZE" summarize "$WORK/early.ctr" >"$WORK/early-summary.txt" 2>&1 || {
+    echo "store_smoke: FAIL (summarize of the empty store failed)"
+    cat "$WORK/early-summary.txt"; fail=1; }
+  for log in "$WORK/early-export.log" "$WORK/early-summary.txt"; do
+    grep -q "is not sealed" "$log" || {
+      echo "store_smoke: FAIL — no unsealed-store warning in $(basename "$log")"
+      fail=1; }
+  done
+  grep -q " 0 records" "$WORK/early-summary.txt" || {
+    echo "store_smoke: FAIL — summarize of the empty store did not see 0 records"
+    head -5 "$WORK/early-summary.txt"; fail=1; }
+fi
+
 echo "== shards: 3-shard fleet into per-shard stores, streaming merge"
 "$FLEET" run --app "$APP" --runs "$RUNS" --seed "$SEED" --shards 3 \
          --dir "$WORK/fleet" >"$WORK/fleet.log" 2>&1 || {
@@ -123,6 +164,6 @@ grep -q "$RUNS records scanned" "$WORK/query.txt" || {
   head -5 "$WORK/query.txt"; fail=1; }
 
 if [[ "$fail" -eq 0 ]]; then
-  echo "store_smoke: PASS — kill+resume, 3-shard streaming merge, query, and export-csv all byte-identical to the CSV reference"
+  echo "store_smoke: PASS — kill+resume, early kill, 3-shard streaming merge, query, and export-csv all byte-identical to the CSV reference"
 fi
 exit "$fail"
